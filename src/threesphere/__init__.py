@@ -47,6 +47,7 @@ from .correlations import (
     chsh_maximize,
     chsh_value,
     joint_expectation,
+    joint_expectations,
     quantum_reference,
     single_expectation,
 )
@@ -57,6 +58,7 @@ from .protocol import (
     TrialRecord,
     alice_outcome,
     bob_outcome,
+    handedness_sign_sum,
     handedness_signs,
     joint_product_closed_form,
     polarizer_axis,
@@ -112,6 +114,7 @@ __all__ = [
     "SimulationConfig",
     "HandednessStream",
     "handedness_signs",
+    "handedness_sign_sum",
     "sample_handedness",
     "polarizer_axis",
     "alice_outcome",
@@ -122,6 +125,7 @@ __all__ = [
     "ChshSettings",
     "single_expectation",
     "joint_expectation",
+    "joint_expectations",
     "quantum_reference",
     "chsh_value",
     "chsh_maximize",

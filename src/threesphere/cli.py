@@ -7,6 +7,10 @@ the full configuration, the package version, and the wall-clock
 duration (the only place a timestamp appears).
 
 Exit codes: 0 success, 1 runtime or property failure, 2 usage error.
+Every numeric input has a bounded range: ``--n`` runs from 1 to
+:data:`MAX_TRIALS`, ``--threads`` is at least 1 (and is capped at the CPU
+count when the work is sharded), and a scan yields at most
+:data:`MAX_SCAN_ROWS` rows over a finite angle range.
 """
 
 from __future__ import annotations
@@ -18,14 +22,47 @@ import time
 from datetime import datetime, timezone
 
 from . import __version__
-from .correlations import ChshSettings, chsh_maximize, chsh_value, joint_expectation, quantum_reference
+from .correlations import (
+    ChshSettings,
+    chsh_maximize,
+    chsh_value,
+    joint_expectation,
+    joint_expectations,
+    quantum_reference,
+    stream_summary,
+)
 from .protocol import PolarizerAngle
 from .suites import SUITES
 from .tables import write_manifest, write_table
 
 
+# Largest accepted --n.  The sign sum streams about 2.5e8 signs/s per thread
+# (2-vCPU x86-64 host, numpy 2.4), so 10**11 trials take about 7 minutes
+# on one thread; memory stays flat at any --n.
+MAX_TRIALS = 10**11
+
+# Most rows one scan may produce; every row is held in memory before writing.
+MAX_SCAN_ROWS = 100_000
+
+
 class UsageError(Exception):
     pass
+
+
+def _int_in_range(low: int, high=None):
+    """argparse type: an integer in ``[low, high]`` (no upper end when ``high`` is None)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low or (high is not None and value > high):
+            upper = "" if high is None else f" and at most {high:.0e}"
+            raise argparse.ArgumentTypeError(f"must be at least {low}{upper}, got {value}")
+        return value
+
+    return parse
 
 
 def _estimate_row(alpha_deg, beta_deg, estimate, seed):
@@ -49,12 +86,13 @@ def _estimate_row(alpha_deg, beta_deg, estimate, seed):
     }
 
 
-def _manifest(command: str, parameters: dict, out_path, started: float) -> None:
+def _manifest(command: str, parameters: dict, out_path, started: float, **blocks) -> None:
     write_manifest(
         out_path,
         {
             "command": command,
             "parameters": parameters,
+            **blocks,
             "version": __version__,
             "duration_seconds": time.perf_counter() - started,
             "created_utc": datetime.now(timezone.utc).isoformat(),
@@ -63,8 +101,6 @@ def _manifest(command: str, parameters: dict, out_path, started: float) -> None:
 
 
 def cmd_simulate(args) -> int:
-    if args.n < 1:
-        raise UsageError("--n must be at least 1")
     started = time.perf_counter()
     alpha = PolarizerAngle.from_degrees(args.alpha_deg)
     beta = PolarizerAngle.from_degrees(args.beta_deg)
@@ -87,6 +123,7 @@ def cmd_simulate(args) -> int:
         },
         args.out,
         started,
+        stream=stream_summary(args.n, args.threads),
     )
     print(
         f"E({args.alpha_deg:g}, {args.beta_deg:g}) scalar mean {estimate.scalar_mean:.12f} "
@@ -109,28 +146,48 @@ _SCAN_FIELDS = [
 ]
 
 
-def cmd_scan(args) -> int:
-    if args.n < 1:
-        raise UsageError("--n must be at least 1")
-    if args.beta_step <= 0:
+def _scan_betas(start: float, stop: float, step: float) -> list:
+    """The angles ``start + k*step``, ``k = 0, 1, ...``, up to ``stop + 1e-9*step``.
+
+    The row count is worked out before any row is built, so a range that
+    would give more than :data:`MAX_SCAN_ROWS` rows is refused up front.
+    """
+    if not all(math.isfinite(value) for value in (start, stop, step)):
+        raise UsageError("--beta-start, --beta-stop and --beta-step must be finite")
+    if step <= 0:
         raise UsageError("--beta-step must be positive")
-    if args.beta_stop < args.beta_start:
+    if stop < start:
         raise UsageError("--beta-stop must not be below --beta-start")
+    limit = stop + 1e-9 * step
+    too_many = f"--beta-step {step:g} gives more than {MAX_SCAN_ROWS} rows"
+    last = (limit - start) / step  # the last k, up to rounding; inf on overflow
+    if not last < MAX_SCAN_ROWS:
+        raise UsageError(too_many)
+    last = int(last)
+    # Settle the rounding with the exact inclusion test, which holds for a
+    # prefix of k since start + k*step does not decrease with k.
+    while start + last * step > limit:
+        last -= 1
+    while last < MAX_SCAN_ROWS and start + (last + 1) * step <= limit:
+        last += 1
+    if last >= MAX_SCAN_ROWS:
+        raise UsageError(too_many)
+    return [start + k * step for k in range(last + 1)]
+
+
+def cmd_scan(args) -> int:
+    betas = _scan_betas(args.beta_start, args.beta_stop, args.beta_step)
     started = time.perf_counter()
     alpha = PolarizerAngle.from_degrees(args.alpha_deg)
-    betas = []
-    k = 0
-    while True:
-        beta_deg = args.beta_start + k * args.beta_step
-        if beta_deg > args.beta_stop + 1e-9 * args.beta_step:
-            break
-        betas.append(beta_deg)
-        k += 1
+    estimates = joint_expectations(
+        alpha,
+        [PolarizerAngle.from_degrees(beta_deg) for beta_deg in betas],
+        args.n,
+        args.seed,
+        threads=args.threads,
+    )
     rows = []
-    for beta_deg in betas:
-        estimate = joint_expectation(
-            alpha, PolarizerAngle.from_degrees(beta_deg), args.n, args.seed, threads=args.threads
-        )
+    for beta_deg, estimate in zip(betas, estimates):
         row = _estimate_row(args.alpha_deg, beta_deg, estimate, args.seed)
         rows.append({name: row[name] for name in _SCAN_FIELDS})
     write_table(args.out, _SCAN_FIELDS, rows, fmt=args.format)
@@ -150,6 +207,7 @@ def cmd_scan(args) -> int:
         },
         args.out,
         started,
+        stream=stream_summary(args.n, args.threads),
     )
     print(f"scan: {len(rows)} settings -> {args.out}")
     return 0
@@ -160,8 +218,6 @@ def cmd_chsh(args) -> int:
         raise UsageError("give exactly one of four angles or --maximize")
     if args.analytic == (args.n is not None):
         raise UsageError("give exactly one of --analytic or --n")
-    if args.n is not None and args.n < 1:
-        raise UsageError("--n must be at least 1")
     if args.maximize and args.step_deg is None:
         raise UsageError("--maximize needs --step-deg")
     started = time.perf_counter()
@@ -256,9 +312,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, needs_out: bool, default_n=10000):
-        p.add_argument("--n", type=int, default=default_n, help="trials per estimate")
+        p.add_argument(
+            "--n", type=_int_in_range(1, MAX_TRIALS), default=default_n,
+            help=f"trials per estimate, 1 to {MAX_TRIALS:.0e}",
+        )
         p.add_argument("--seed", type=int, default=0, help="stream seed")
-        p.add_argument("--threads", type=int, default=1, help="shards for the trial range")
+        p.add_argument(
+            "--threads", type=_int_in_range(1), default=1,
+            help="worker threads for the trial range, at least 1; capped at the CPU count",
+        )
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", required=needs_out, help="output data file")
 

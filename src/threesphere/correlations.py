@@ -7,23 +7,40 @@ average to the exact integer sum of the +1/-1 signs.  That keeps the
 scalar mean equal to ``cos 2(a-b)`` to the last bit at any trial count,
 and makes merging per-shard sums bit-identical to a single pass, since
 integer addition has no rounding.
+
+The sum comes from :func:`~.protocol.handedness_sign_sum`, which streams
+the orientation draws in fixed chunks, so memory does not grow with the
+trial count.  :func:`sign_sum_plan` splits the trial range into shards of
+whole chunks, one per worker thread, with at most one worker per CPU and
+per chunk.  A sweep over several second-station angles shares one sign
+sum: :func:`joint_expectations` computes it once for all of them.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import PolarizerAngle, handedness_signs, polarizer_axis
+from .protocol import (
+    SIGN_CHUNK,
+    PolarizerAngle,
+    handedness_sign_sum,
+    handedness_signs,  # noqa: F401  (re-exported; callers look it up here)
+    polarizer_axis,
+)
 
 __all__ = [
     "CorrelationEstimate",
     "ChshSettings",
     "single_expectation",
     "joint_expectation",
+    "joint_expectations",
+    "sign_sum_plan",
+    "stream_summary",
     "quantum_reference",
     "chsh_value",
     "chsh_maximize",
@@ -71,16 +88,33 @@ class ChshSettings:
     beta_prime: PolarizerAngle
 
 
-def _shard_bounds(n: int, shards: int) -> list:
-    shards = max(1, min(shards, n))
-    step, extra = divmod(n, shards)
-    bounds = []
+def sign_sum_plan(n: int, threads: int) -> list:
+    """``(start, count)`` shards for summing the first ``n`` signs on ``threads`` workers.
+
+    Every shard but the last covers a whole number of :data:`SIGN_CHUNK`
+    chunks.  There are ``min(threads, os.cpu_count(), chunks)`` shards, at
+    least one, so no request starts more threads than the host has CPUs.
+    """
+    chunks = -(-n // SIGN_CHUNK)
+    shards = max(1, min(threads, os.cpu_count() or 1, chunks))
+    per_shard, extra = divmod(chunks, shards)
+    plan = []
     start = 0
     for i in range(shards):
-        size = step + (1 if i < extra else 0)
-        bounds.append((start, size))
+        size = (per_shard + (1 if i < extra else 0)) * SIGN_CHUNK
+        plan.append((start, min(size, n - start)))
         start += size
-    return bounds
+    return plan
+
+
+def stream_summary(n: int, threads: int) -> dict:
+    """Shards, chunk size and chunks summed for one sign sum over ``n`` trials."""
+    plan = sign_sum_plan(n, threads)
+    return {
+        "shards": len(plan),
+        "chunk_size": SIGN_CHUNK,
+        "chunks": sum(-(-count // SIGN_CHUNK) for _, count in plan),
+    }
 
 
 def _summed_signs(seed: int, n: int, threads: int = 1) -> int:
@@ -89,13 +123,11 @@ def _summed_signs(seed: int, n: int, threads: int = 1) -> int:
     Each shard sums its own block of the stream; the totals are integers,
     so the merged result is identical for every shard layout.
     """
-    if threads <= 1:
-        return int(handedness_signs(seed, n).sum())
-    bounds = _shard_bounds(n, threads)
-    with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-        parts = pool.map(
-            lambda se: int(handedness_signs(seed, se[1], start=se[0]).sum()), bounds
-        )
+    plan = sign_sum_plan(n, threads)
+    if len(plan) == 1:
+        return handedness_sign_sum(seed, n)
+    with ThreadPoolExecutor(max_workers=len(plan)) as pool:
+        parts = pool.map(lambda shard: handedness_sign_sum(seed, shard[1], start=shard[0]), plan)
         return sum(parts)
 
 
@@ -120,26 +152,43 @@ def single_expectation(
     )
 
 
+def joint_expectations(
+    alpha: PolarizerAngle, betas, n: int, seed: int, threads: int = 1
+) -> list:
+    """Joint estimates at ``alpha`` for each second-station angle in ``betas``.
+
+    Every estimate averages the outcome product over the same ``n`` shared
+    orientation samples, so the sign sum is computed once.  The scalar
+    channel is per-trial constant, so its mean equals ``cos 2(alpha-beta)``
+    for every seed and trial count; the bivector channel is the mean sign
+    times ``sin 2(alpha-beta)`` on the ``e_xy`` axis and vanishes at the
+    1/sqrt(n) rate.
+    """
+    if n < 1:
+        raise ValueError(f"trial count must be at least 1, got {n}")
+    mean_sign = _summed_signs(seed, n, threads) / n
+    estimates = []
+    for beta in betas:
+        d = 2.0 * (alpha.radians - beta.radians)
+        estimates.append(
+            CorrelationEstimate(
+                scalar_mean=math.cos(d),
+                bivector_mean=(0.0, 0.0, mean_sign * math.sin(d)),
+                trial_count=n,
+                standard_error=1.0 / math.sqrt(n),
+            )
+        )
+    return estimates
+
+
 def joint_expectation(
     alpha: PolarizerAngle, beta: PolarizerAngle, n: int, seed: int, threads: int = 1
 ) -> CorrelationEstimate:
     """Average the outcome product over ``n`` shared orientation samples.
 
-    The scalar channel is per-trial constant, so the mean equals
-    ``cos 2(alpha-beta)`` for every seed and trial count; the bivector
-    channel is the mean sign times ``sin 2(alpha-beta)`` on the ``e_xy``
-    axis and vanishes at the 1/sqrt(n) rate.
+    The one-angle case of :func:`joint_expectations`.
     """
-    if n < 1:
-        raise ValueError(f"trial count must be at least 1, got {n}")
-    d = 2.0 * (alpha.radians - beta.radians)
-    mean_sign = _summed_signs(seed, n, threads) / n
-    return CorrelationEstimate(
-        scalar_mean=math.cos(d),
-        bivector_mean=(0.0, 0.0, mean_sign * math.sin(d)),
-        trial_count=n,
-        standard_error=1.0 / math.sqrt(n),
-    )
+    return joint_expectations(alpha, (beta,), n, seed, threads)[0]
 
 
 def quantum_reference(alpha: PolarizerAngle, beta: PolarizerAngle) -> float:

@@ -1,9 +1,10 @@
 import json
 import math
+import os
 
 import pytest
 
-from threesphere.cli import main
+from threesphere.cli import MAX_SCAN_ROWS, MAX_TRIALS, _scan_betas, main
 from threesphere.correlations import joint_expectation, quantum_reference
 from threesphere.protocol import PolarizerAngle
 from threesphere.tables import read_table
@@ -88,6 +89,37 @@ def test_simulate_rejects_bad_trial_count(tmp_path):
                "--out", tmp_path / "x.csv") == 2
 
 
+@pytest.mark.parametrize("n", [MAX_TRIALS + 1, 2**62])
+def test_trial_counts_above_the_maximum_are_usage_errors(tmp_path, n):
+    out = tmp_path / "x.csv"
+    assert run("simulate", "--alpha-deg", 0, "--beta-deg", 0, "--n", n, "--out", out) == 2
+    assert run("scan", "--alpha-deg", 0, "--beta-start", 0, "--beta-stop", 0, "--beta-step", 1,
+               "--n", n, "--out", out) == 2
+    assert run("chsh", "--angles-deg", 0, 1, 2, 3, "--n", n) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_thread_counts_below_one_are_usage_errors(tmp_path, threads):
+    out = tmp_path / "x.csv"
+    assert run("simulate", "--alpha-deg", 0, "--beta-deg", 0, "--n", 10, "--threads", threads,
+               "--out", out) == 2
+    assert run("scan", "--alpha-deg", 0, "--beta-start", 0, "--beta-stop", 10, "--beta-step", 5,
+               "--n", 10, "--threads", threads, "--out", out) == 2
+    assert not out.exists()
+
+
+def test_simulate_manifest_records_the_stream_plan(tmp_path):
+    out = tmp_path / "sim.csv"
+    assert run("simulate", "--alpha-deg", 0, "--beta-deg", 30, "--n", 200000, "--seed", 2,
+               "--threads", 4, "--out", out) == 0
+    manifest = json.loads((tmp_path / "sim.csv.manifest.json").read_text())
+    assert manifest["stream"] == {
+        "shards": min(4, os.cpu_count() or 1), "chunk_size": 65536, "chunks": 4
+    }
+    assert manifest["parameters"]["threads"] == 4
+
+
 def test_simulate_reports_io_failure(tmp_path):
     missing_dir = tmp_path / "absent" / "x.csv"
     assert run("simulate", "--alpha-deg", 0, "--beta-deg", 0, "--n", 10, "--seed", 1,
@@ -131,6 +163,67 @@ def test_scan_rejects_malformed_ranges(tmp_path):
                "--n", 10, "--seed", 5, "--out", out) == 2
     assert run("scan", "--alpha-deg", 0, "--beta-start", 0, "--beta-stop", 10, "--beta-step", -5,
                "--n", 10, "--seed", 5, "--out", out) == 2
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        ("0", "10", "nan"),
+        ("0", "inf", "5"),
+        ("nan", "10", "5"),
+        ("0", "10", "1e-12"),
+        ("1e20", "1e20", "0.001"),  # start + k*step rounds to stop for millions of k
+        ("-1e308", "1e308", "1e-300"),
+    ],
+)
+def test_scan_rejects_unbounded_row_counts(tmp_path, bounds):
+    start, stop, step = bounds
+    out = tmp_path / "scan.csv"
+    assert run("scan", "--alpha-deg", 0, f"--beta-start={start}", f"--beta-stop={stop}",
+               f"--beta-step={step}", "--n", 10, "--out", out) == 2
+    assert not out.exists()
+
+
+def reference_betas(start, stop, step):
+    betas = []
+    k = 0
+    while True:
+        beta = start + k * step
+        if beta > stop + 1e-9 * step:
+            return betas
+        betas.append(beta)
+        k += 1
+
+
+@pytest.mark.parametrize(
+    "start, stop, step",
+    [
+        (0.0, 180.0, 5.0),
+        (0.0, 1.0, 0.1),
+        (0.0, 0.3, 0.1),
+        (-3.3, 17.1, 0.1),
+        (0.1, 0.7, 0.2),
+        (5.0, 5.0, 1.0),
+        (0.0, 1.0, 3.0),
+        (1e-7, 1e-6, 1e-7),
+        (0.0, 1.0, 1e-4),
+        (1e20, 1e20, 1.0),
+    ],
+)
+def test_scan_rows_match_the_stepwise_rule(start, stop, step):
+    assert _scan_betas(start, stop, step) == reference_betas(start, stop, step)
+
+
+def test_scan_row_budget_is_inclusive():
+    assert len(_scan_betas(0.0, MAX_SCAN_ROWS - 1.0, 1.0)) == MAX_SCAN_ROWS
+
+
+def test_scan_manifest_records_one_stream_for_all_rows(tmp_path):
+    out = tmp_path / "scan.csv"
+    assert run("scan", "--alpha-deg", 0, "--beta-start", 0, "--beta-stop", 90, "--beta-step", 45,
+               "--n", 70000, "--seed", 5, "--out", out) == 0
+    manifest = json.loads((tmp_path / "scan.csv.manifest.json").read_text())
+    assert manifest["stream"] == {"shards": 1, "chunk_size": 65536, "chunks": 2}
 
 
 # ---------------------------------------------------------------------------

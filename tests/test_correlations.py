@@ -1,19 +1,31 @@
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
 
+from threesphere import correlations
 from threesphere.correlations import (
     ChshSettings,
     CorrelationEstimate,
     chsh_maximize,
     chsh_value,
     joint_expectation,
+    joint_expectations,
     quantum_reference,
+    sign_sum_plan,
     single_expectation,
+    stream_summary,
 )
-from threesphere.protocol import PolarizerAngle, SimulationConfig, handedness_signs, run_trials
+from threesphere.protocol import (
+    SIGN_CHUNK,
+    PolarizerAngle,
+    SimulationConfig,
+    handedness_sign_sum,
+    handedness_signs,
+    run_trials,
+)
 
 ROOT_HALF = math.sqrt(2.0) / 2.0
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -123,6 +135,71 @@ def test_joint_sharding_is_bit_identical():
     single = joint_expectation(alpha, beta, 10**5, seed=9, threads=1)
     for threads in (2, 3, 7, 16):
         assert joint_expectation(alpha, beta, 10**5, seed=9, threads=threads) == single
+
+
+def test_joint_expectations_share_one_sign_sum(monkeypatch):
+    alpha = deg(17.0)
+    betas = [deg(b) for b in (0.0, 22.5, 45.0, 100.0, 179.0)]
+    expected = [joint_expectation(alpha, beta, 5000, seed=4) for beta in betas]
+    calls = []
+    summed = correlations._summed_signs
+    monkeypatch.setattr(
+        correlations, "_summed_signs", lambda *args: calls.append(args) or summed(*args)
+    )
+    assert joint_expectations(alpha, betas, 5000, seed=4) == expected
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# Sharded sign sums
+# ---------------------------------------------------------------------------
+
+
+def test_sharded_sum_equals_the_single_sum(monkeypatch):
+    n = 16 * SIGN_CHUNK + 12345
+    single = handedness_sign_sum(2**63 + 9, n)
+    monkeypatch.setattr(correlations.os, "cpu_count", lambda: 16)
+    for threads in range(1, 17):
+        assert len(sign_sum_plan(n, threads)) == threads
+        assert correlations._summed_signs(2**63 + 9, n, threads) == single
+
+
+@pytest.mark.parametrize("n", [1, SIGN_CHUNK, SIGN_CHUNK + 1, 7 * SIGN_CHUNK - 3])
+@pytest.mark.parametrize("threads", [1, 2, 3, 8])
+def test_shard_plan_covers_the_range_in_whole_chunks(monkeypatch, n, threads):
+    monkeypatch.setattr(correlations.os, "cpu_count", lambda: 8)
+    plan = sign_sum_plan(n, threads)
+    assert len(plan) == min(threads, -(-n // SIGN_CHUNK))
+    assert [start for start, _ in plan] == [0] + list(itertools.accumulate(c for _, c in plan[:-1]))
+    assert sum(count for _, count in plan) == n
+    assert all(count > 0 and count % SIGN_CHUNK == 0 for _, count in plan[:-1])
+    assert stream_summary(n, threads) == {
+        "shards": len(plan), "chunk_size": SIGN_CHUNK, "chunks": -(-n // SIGN_CHUNK)
+    }
+
+
+def test_a_huge_thread_request_is_capped_at_the_cpu_count(monkeypatch):
+    workers = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(correlations, "ThreadPoolExecutor", InlineExecutor)
+    n = 40 * SIGN_CHUNK + 1
+    cpus = os.cpu_count() or 1
+    assert len(sign_sum_plan(n, 10**6)) == min(cpus, 41)
+    assert correlations._summed_signs(5, n, 10**6) == handedness_sign_sum(5, n)
+    assert all(w <= cpus for w in workers)
 
 
 def test_joint_bivector_decays_across_seeds():

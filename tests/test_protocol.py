@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from threesphere.algebra import (
     oriented_even_product,
 )
 from threesphere.protocol import (
+    SIGN_CHUNK,
     HandednessStream,
     PolarizerAngle,
     SimulationConfig,
     alice_outcome,
     bob_outcome,
+    handedness_sign_sum,
     handedness_signs,
     joint_product_closed_form,
     polarizer_axis,
@@ -195,6 +198,40 @@ def test_stream_is_balanced_at_a_million_draws():
 def test_negative_count_is_rejected():
     with pytest.raises(ValueError):
         handedness_signs(0, -1)
+
+
+@pytest.mark.parametrize(
+    "count", [0, 1, SIGN_CHUNK - 1, SIGN_CHUNK, SIGN_CHUNK + 1, 3 * SIGN_CHUNK + 5]
+)
+@pytest.mark.parametrize("seed, start", [(2**63 + 12345, 2**40 + 3), (2**64 - 1, 0), (-5, 17)])
+def test_sign_sum_equals_the_summed_sign_array(count, seed, start):
+    expected = int(handedness_signs(seed, count, start=start).sum())
+    assert handedness_sign_sum(seed, count, start=start) == expected
+
+
+def test_sign_sum_of_adjacent_blocks_adds_up():
+    whole = handedness_sign_sum(99, 5 * SIGN_CHUNK + 7)
+    first = handedness_sign_sum(99, SIGN_CHUNK + 3)
+    assert first + handedness_sign_sum(99, 4 * SIGN_CHUNK + 4, start=SIGN_CHUNK + 3) == whole
+
+
+def test_sign_sum_memory_is_flat_in_the_count():
+    def peak(count):
+        tracemalloc.start()
+        try:
+            handedness_sign_sum(3, count)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(10**6), peak(10**7)
+    assert large < 4 * 2**20
+    assert abs(large - small) <= 0.1 * small
+
+
+def test_sign_sum_rejects_a_negative_count():
+    with pytest.raises(ValueError):
+        handedness_sign_sum(0, -1)
 
 
 def test_stream_object_walks_the_same_sequence():
