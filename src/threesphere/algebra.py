@@ -18,12 +18,20 @@ volume element.  The multiplication table itself is fixed right-handed;
 the left-handed convention is obtained by carrying the orientation sign
 through the vector-to-bivector duality and through the cross-product term
 of the oriented product (see :func:`oriented_even_product`).
+
+Every operation is an array kernel over stacked ``(..., 8)``, ``(..., 4)``
+or ``(..., 3)`` coefficient rows, with the orientation as +1/-1 row signs:
+the full products contract through a signed ``(8, 8, 8)`` Cayley tensor,
+the even ones apply one column formula.  A dataclass argument, with a
+:class:`Handedness`, is the one-row case and returns a dataclass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "Multivector",
@@ -69,32 +77,25 @@ def _reordering_sign(lhs_mask: int, rhs_mask: int) -> int:
     return -1 if swaps & 1 else 1
 
 
-def _build_tables():
+def _build_tensors():
+    """Signed ``(8, 8, 8)`` Cayley tensors: ``T[i, j, k]`` is the sign of ``e_k`` in ``e_i e_j``."""
     index_of = {mask: i for i, mask in enumerate(_BASIS_MASKS)}
-    product = []
-    exterior = []
-    for i in range(8):
-        product_row = []
-        exterior_row = []
-        for j in range(8):
-            mask_i, mask_j = _BASIS_MASKS[i], _BASIS_MASKS[j]
+    product = np.zeros((8, 8, 8))
+    exterior = np.zeros((8, 8, 8))
+    for i, mask_i in enumerate(_BASIS_MASKS):
+        for j, mask_j in enumerate(_BASIS_MASKS):
             k = index_of[mask_i ^ mask_j]
-            sign = (
-                _BASIS_SIGNS[i]
-                * _BASIS_SIGNS[j]
-                * _reordering_sign(mask_i, mask_j)
-                * _BASIS_SIGNS[k]
-            )
-            product_row.append((sign, k))
+            sign = _BASIS_SIGNS[i] * _BASIS_SIGNS[j] * _BASIS_SIGNS[k]
+            sign *= _reordering_sign(mask_i, mask_j)
+            product[i, j, k] = sign
             # The exterior product keeps only the grade-raising part, which
             # for basis blades means the generator sets must be disjoint.
-            exterior_row.append((sign, k) if mask_i & mask_j == 0 else (0, k))
-        product.append(tuple(product_row))
-        exterior.append(tuple(exterior_row))
-    return tuple(product), tuple(exterior)
+            if mask_i & mask_j == 0:
+                exterior[i, j, k] = sign
+    return product, exterior
 
 
-_PRODUCT_TABLE, _WEDGE_TABLE = _build_tables()
+_PRODUCT_TENSOR, _WEDGE_TENSOR = _build_tensors()
 
 
 @dataclass(frozen=True)
@@ -150,48 +151,26 @@ class Multivector:
         return " + ".join(terms) if terms else "0"
 
 
-def geometric_product(lhs: Multivector, rhs: Multivector) -> Multivector:
-    """Full geometric product, driven by the precomputed 8x8 blade table."""
-    out = [0.0] * 8
-    a = lhs.coeffs
-    b = rhs.coeffs
-    for i in range(8):
-        ai = a[i]
-        if ai == 0.0:
-            continue
-        row = _PRODUCT_TABLE[i]
-        for j in range(8):
-            bj = b[j]
-            if bj == 0.0:
-                continue
-            sign, k = row[j]
-            out[k] += sign * ai * bj
-    return Multivector(tuple(out))
+def _bilinear(tensor: np.ndarray, lhs, rhs):
+    if isinstance(lhs, Multivector):
+        return Multivector(_bilinear(tensor, np.array(lhs.coeffs), np.array(rhs.coeffs)))
+    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+    return sum(lhs[..., i, None] * (rhs @ tensor[i]) for i in range(8))
 
 
-def wedge(lhs: Multivector, rhs: Multivector) -> Multivector:
+def geometric_product(lhs, rhs):
+    """Full geometric product: coefficient ``k`` is ``sum_ij lhs_i rhs_j T[i, j, k]``."""
+    return _bilinear(_PRODUCT_TENSOR, lhs, rhs)
+
+
+def wedge(lhs, rhs):
     """Exterior (grade-raising) part of the geometric product.
 
     For vectors ``u`` and ``v`` this is the antisymmetric half
     ``(uv - vu) / 2``; for higher blades it keeps exactly the terms whose
     grade is the sum of the factor grades.
     """
-    out = [0.0] * 8
-    a = lhs.coeffs
-    b = rhs.coeffs
-    for i in range(8):
-        ai = a[i]
-        if ai == 0.0:
-            continue
-        row = _WEDGE_TABLE[i]
-        for j in range(8):
-            bj = b[j]
-            if bj == 0.0:
-                continue
-            sign, k = row[j]
-            if sign:
-                out[k] += sign * ai * bj
-    return Multivector(tuple(out))
+    return _bilinear(_WEDGE_TENSOR, lhs, rhs)
 
 
 def grade_projection(m: Multivector, k: int) -> Multivector:
@@ -226,24 +205,14 @@ class Vector3:
     def dot(self, other: "Vector3") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
-    def cross(self, other: "Vector3") -> "Vector3":
-        return Vector3(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
-
     def norm(self) -> float:
         return math.sqrt(self.dot(self))
-
-    def scaled(self, factor: float) -> "Vector3":
-        return Vector3(factor * self.x, factor * self.y, factor * self.z)
 
     def normalized(self) -> "Vector3":
         n = self.norm()
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return self.scaled(1.0 / n)
+        return Vector3(self.x / n, self.y / n, self.z / n)
 
     def __neg__(self) -> "Vector3":
         return Vector3(-self.x, -self.y, -self.z)
@@ -342,20 +311,10 @@ class EvenElement:
         return EvenElement(self.s / n, self.b_yz / n, self.b_zx / n, self.b_xy / n)
 
     def __add__(self, other: "EvenElement") -> "EvenElement":
-        return EvenElement(
-            self.s + other.s,
-            self.b_yz + other.b_yz,
-            self.b_zx + other.b_zx,
-            self.b_xy + other.b_xy,
-        )
+        return EvenElement(*(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "EvenElement") -> "EvenElement":
-        return EvenElement(
-            self.s - other.s,
-            self.b_yz - other.b_yz,
-            self.b_zx - other.b_zx,
-            self.b_xy - other.b_xy,
-        )
+        return EvenElement(*(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "EvenElement":
         return EvenElement(-self.s, -self.b_yz, -self.b_zx, -self.b_xy)
@@ -373,7 +332,33 @@ class EvenElement:
         return NotImplemented
 
 
-def dual_bivector(handedness: Handedness, direction: Vector3) -> EvenElement:
+def _signs(handedness):
+    """The orientation factor: a float for a :class:`Handedness`, else float row signs."""
+    if isinstance(handedness, Handedness):
+        return float(handedness.sign)
+    signs = np.asarray(handedness, dtype=float)
+    if not np.all(np.abs(signs) == 1.0):
+        raise ValueError("handedness signs must all be +1 or -1")
+    return signs
+
+
+def _columns(rows) -> tuple:
+    """The ``k`` coefficient columns of ``(..., k)`` rows."""
+    rows = np.asarray(rows, dtype=float)
+    return tuple(rows[..., i] for i in range(rows.shape[-1]))
+
+
+def _rows(columns) -> np.ndarray:
+    """Coefficient columns stacked back into rows; constant columns broadcast."""
+    return np.stack(np.broadcast_arrays(*columns), axis=-1)
+
+
+def _gap(lhs, rhs) -> float:
+    """Largest absolute difference between two coefficient arrays of one shape."""
+    return float(np.max(np.abs(np.subtract(lhs, rhs))))
+
+
+def dual_bivector(handedness, direction):
     """Bivector dual to ``direction`` under the given orientation.
 
     With right-handed orientation the components copy straight across:
@@ -381,28 +366,25 @@ def dual_bivector(handedness: Handedness, direction: Vector3) -> EvenElement:
     the negation.  The scalar part is exactly zero, so unit directions
     land on the equatorial 2-sphere.
     """
-    sign = float(handedness.sign)
-    return EvenElement(0.0, sign * direction.x, sign * direction.y, sign * direction.z)
+    one = isinstance(direction, Vector3)
+    x, y, z = (direction.x, direction.y, direction.z) if one else _columns(direction)
+    h = _signs(handedness)
+    coeffs = (0.0, h * x, h * y, h * z)
+    return EvenElement(*coeffs) if one else _rows(coeffs)
 
 
-def even_product(lhs: EvenElement, rhs: EvenElement) -> EvenElement:
+def even_product(lhs, rhs):
     """Product of even elements in the fixed right-handed convention.
 
     Agrees with :func:`geometric_product` after embedding; unit bivectors
     obey ``(dual e_j)(dual e_k) = -delta_jk - eps_jkl (dual e_l)``, and the
     norm is multiplicative, which is exactly the closure of the 3-sphere.
+    The ``RIGHT_HANDED`` case of :func:`oriented_even_product`.
     """
-    s1, u1, u2, u3 = lhs.s, lhs.b_yz, lhs.b_zx, lhs.b_xy
-    s2, v1, v2, v3 = rhs.s, rhs.b_yz, rhs.b_zx, rhs.b_xy
-    return EvenElement(
-        s1 * s2 - (u1 * v1 + u2 * v2 + u3 * v3),
-        s1 * v1 + s2 * u1 - (u2 * v3 - u3 * v2),
-        s1 * v2 + s2 * u2 - (u3 * v1 - u1 * v3),
-        s1 * v3 + s2 * u3 - (u1 * v2 - u2 * v1),
-    )
+    return oriented_even_product(RIGHT_HANDED, lhs, rhs)
 
 
-def oriented_even_product(handedness: Handedness, lhs: EvenElement, rhs: EvenElement) -> EvenElement:
+def oriented_even_product(handedness, lhs, rhs):
     """Product of even elements taken in the basis the orientation selects.
 
     Re-expressing both factors in the basis of left-handed bivectors,
@@ -411,18 +393,20 @@ def oriented_even_product(handedness: Handedness, lhs: EvenElement, rhs: EvenEle
     reduces to :func:`even_product`; either way the scalar part and the
     norm are unchanged, so closure of the 3-sphere is orientation-free.
     """
-    h = float(handedness.sign)
-    s1, u1, u2, u3 = lhs.s, lhs.b_yz, lhs.b_zx, lhs.b_xy
-    s2, v1, v2, v3 = rhs.s, rhs.b_yz, rhs.b_zx, rhs.b_xy
-    return EvenElement(
+    one = isinstance(lhs, EvenElement)
+    s1, u1, u2, u3 = lhs.coeffs if one else _columns(lhs)
+    s2, v1, v2, v3 = rhs.coeffs if one else _columns(rhs)
+    h = _signs(handedness)
+    coeffs = (
         s1 * s2 - (u1 * v1 + u2 * v2 + u3 * v3),
         s1 * v1 + s2 * u1 - h * (u2 * v3 - u3 * v2),
         s1 * v2 + s2 * u2 - h * (u3 * v1 - u1 * v3),
         s1 * v3 + s2 * u3 - h * (u1 * v2 - u2 * v1),
     )
+    return EvenElement(*coeffs) if one else _rows(coeffs)
 
 
-def bivector_identity_residual(handedness: Handedness, a: Vector3, b: Vector3) -> EvenElement:
+def bivector_identity_residual(handedness, a, b):
     """Residual of the dual-bivector product identity; zero for all inputs.
 
     The product of the duals of ``a`` and ``b`` equals minus their dot
@@ -431,6 +415,11 @@ def bivector_identity_residual(handedness: Handedness, a: Vector3, b: Vector3) -
     The returned element is that product plus the dot and cross terms, so
     every coefficient vanishes up to rounding.
     """
-    product = even_product(dual_bivector(handedness, a), dual_bivector(handedness, b))
-    oriented_cross = a.cross(b).scaled(float(handedness.sign))
-    return product + EvenElement.scalar(a.dot(b)) + dual_bivector(handedness, oriented_cross)
+    if isinstance(a, Vector3):
+        row = bivector_identity_residual(handedness, [a.x, a.y, a.z], [b.x, b.y, b.z])
+        return EvenElement(*row)
+    h = _signs(handedness)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    residual = even_product(dual_bivector(h, a), dual_bivector(h, b))
+    residual[..., 0] += np.sum(a * b, axis=-1)
+    return residual + dual_bivector(h, np.asarray(h)[..., None] * np.cross(a, b))

@@ -12,8 +12,9 @@ The sum comes from :func:`~.protocol.handedness_sign_sum`, which streams
 the orientation draws in fixed chunks, so memory does not grow with the
 trial count.  :func:`sign_sum_plan` splits the trial range into shards of
 whole chunks, one per worker thread, with at most one worker per CPU and
-per chunk.  A sweep over several second-station angles shares one sign
-sum: :func:`joint_expectations` computes it once for all of them.
+per chunk.  Any number of angle pairs share one sign sum:
+:func:`joint_estimator` computes it once for all of them, so a scan and a
+CHSH evaluation or search each make one sum.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "single_expectation",
     "joint_expectation",
     "joint_expectations",
+    "joint_estimator",
     "sign_sum_plan",
     "stream_summary",
     "quantum_reference",
@@ -131,6 +133,12 @@ def _summed_signs(seed: int, n: int, threads: int = 1) -> int:
         return sum(parts)
 
 
+def _mean_sign(n: int, seed: int, threads: int) -> float:
+    if n < 1:
+        raise ValueError(f"trial count must be at least 1, got {n}")
+    return _summed_signs(seed, n, threads) / n
+
+
 def single_expectation(
     theta: PolarizerAngle, n: int, seed: int, threads: int = 1
 ) -> CorrelationEstimate:
@@ -140,9 +148,7 @@ def single_expectation(
     the bivector mean is the mean sign times the polarizer axis; under
     the 50/50 orientation law it decays like 1/sqrt(n).
     """
-    if n < 1:
-        raise ValueError(f"trial count must be at least 1, got {n}")
-    mean_sign = _summed_signs(seed, n, threads) / n
+    mean_sign = _mean_sign(n, seed, threads)
     axis = polarizer_axis(theta)
     return CorrelationEstimate(
         scalar_mean=0.0,
@@ -152,33 +158,33 @@ def single_expectation(
     )
 
 
+def joint_estimator(n: int, seed: int, threads: int = 1):
+    """Joint estimates over ``n`` shared orientation samples, as a function of two angles.
+
+    The sign sum is computed once, here, for every angle pair.  The scalar
+    mean is ``cos 2(alpha-beta)`` at every seed and ``n`` and does not read
+    the sum; the bivector mean is the mean sign times ``sin 2(alpha-beta)``.
+    """
+    mean_sign = _mean_sign(n, seed, threads)
+
+    def estimate(alpha: PolarizerAngle, beta: PolarizerAngle) -> CorrelationEstimate:
+        d = 2.0 * (alpha.radians - beta.radians)
+        return CorrelationEstimate(
+            scalar_mean=math.cos(d),
+            bivector_mean=(0.0, 0.0, mean_sign * math.sin(d)),
+            trial_count=n,
+            standard_error=1.0 / math.sqrt(n),
+        )
+
+    return estimate
+
+
 def joint_expectations(
     alpha: PolarizerAngle, betas, n: int, seed: int, threads: int = 1
 ) -> list:
-    """Joint estimates at ``alpha`` for each second-station angle in ``betas``.
-
-    Every estimate averages the outcome product over the same ``n`` shared
-    orientation samples, so the sign sum is computed once.  The scalar
-    channel is per-trial constant, so its mean equals ``cos 2(alpha-beta)``
-    for every seed and trial count; the bivector channel is the mean sign
-    times ``sin 2(alpha-beta)`` on the ``e_xy`` axis and vanishes at the
-    1/sqrt(n) rate.
-    """
-    if n < 1:
-        raise ValueError(f"trial count must be at least 1, got {n}")
-    mean_sign = _summed_signs(seed, n, threads) / n
-    estimates = []
-    for beta in betas:
-        d = 2.0 * (alpha.radians - beta.radians)
-        estimates.append(
-            CorrelationEstimate(
-                scalar_mean=math.cos(d),
-                bivector_mean=(0.0, 0.0, mean_sign * math.sin(d)),
-                trial_count=n,
-                standard_error=1.0 / math.sqrt(n),
-            )
-        )
-    return estimates
+    """Joint estimates at ``alpha`` for every angle in ``betas``, from one sign sum."""
+    estimate = joint_estimator(n, seed, threads)
+    return [estimate(alpha, beta) for beta in betas]
 
 
 def joint_expectation(

@@ -10,6 +10,9 @@ outcomes, taken in the basis the orientation selects, is again a
 
     ``cos 2(alpha - beta) + sign * sin 2(alpha - beta) * e_xy``.
 
+The axis, outcome and closed-form functions also take arrays of radians
+and of +1/-1 orientation signs, and return stacked rows.
+
 Orientation sampling uses the splitmix64 generator (Steele, Lea and
 Flood, "Fast splittable pseudorandom number generators", OOPSLA 2014), so
 the i-th draw is a pure function of ``(seed, i)``: any contiguous block of
@@ -39,6 +42,9 @@ from .algebra import (
     EvenElement,
     Handedness,
     Vector3,
+    _gap,
+    _rows,
+    _signs,
     dual_bivector,
     oriented_even_product,
 )
@@ -163,13 +169,23 @@ class PolarizerAngle:
         return math.degrees(self.radians)
 
 
-def polarizer_axis(theta: PolarizerAngle) -> Vector3:
+def _radians(theta):
+    if isinstance(theta, PolarizerAngle):
+        return theta.radians
+    radians = np.asarray(theta, dtype=float)
+    if not np.all(np.isfinite(radians)):
+        raise ValueError("angles must be finite")
+    return radians
+
+
+def polarizer_axis(theta):
     """Unit axis ``(sin 2t, cos 2t, 0)`` associated with a polarizer angle."""
-    two_t = 2.0 * theta.radians
-    return Vector3(math.sin(two_t), math.cos(two_t), 0.0)
+    two_t = 2.0 * _radians(theta)
+    coords = (np.sin(two_t), np.cos(two_t), 0.0)
+    return Vector3(*map(float, coords)) if isinstance(theta, PolarizerAngle) else _rows(coords)
 
 
-def alice_outcome(alpha: PolarizerAngle, handedness: Handedness) -> EvenElement:
+def alice_outcome(alpha, handedness):
     """First station's outcome: the oriented dual of its polarizer axis.
 
     Reads only its own angle and the shared orientation; always an
@@ -178,7 +194,7 @@ def alice_outcome(alpha: PolarizerAngle, handedness: Handedness) -> EvenElement:
     return dual_bivector(handedness, polarizer_axis(alpha))
 
 
-def bob_outcome(beta: PolarizerAngle, handedness: Handedness) -> EvenElement:
+def bob_outcome(beta, handedness):
     """Second station's outcome: the negated oriented dual of its axis.
 
     The sign convention makes parallel polarizers multiply to +1, i.e.
@@ -187,9 +203,7 @@ def bob_outcome(beta: PolarizerAngle, handedness: Handedness) -> EvenElement:
     return -dual_bivector(handedness, polarizer_axis(beta))
 
 
-def joint_product_closed_form(
-    alpha: PolarizerAngle, beta: PolarizerAngle, handedness: Handedness
-) -> EvenElement:
+def joint_product_closed_form(alpha, beta, handedness):
     """Closed form of the outcome product, a point on a circle in the 3-sphere.
 
     Equals the direct :func:`~.algebra.oriented_even_product` of the two
@@ -197,8 +211,9 @@ def joint_product_closed_form(
     part ``cos 2(alpha-beta)`` does not depend on the orientation; the
     bivector part carries the orientation sign on the ``e_xy`` axis.
     """
-    d = 2.0 * (alpha.radians - beta.radians)
-    return EvenElement(math.cos(d), 0.0, 0.0, float(handedness.sign) * math.sin(d))
+    d = 2.0 * (_radians(alpha) - _radians(beta))
+    coeffs = (np.cos(d), 0.0, 0.0, _signs(handedness) * np.sin(d))
+    return EvenElement(*coeffs) if isinstance(alpha, PolarizerAngle) else _rows(coeffs)
 
 
 @dataclass(frozen=True)
@@ -233,10 +248,6 @@ class SimulationConfig:
         object.__setattr__(self, "angles", pairs)
 
 
-def _component_gap(lhs: EvenElement, rhs: EvenElement) -> float:
-    return max(abs(a - b) for a, b in zip(lhs.coeffs, rhs.coeffs))
-
-
 def run_trials(config: SimulationConfig) -> list:
     """Run every angle pair for ``trial_count`` trials and record each one.
 
@@ -256,7 +267,7 @@ def run_trials(config: SimulationConfig) -> list:
             b = bob_outcome(beta, handed)
             product = oriented_even_product(handed, a, b)
             closed = joint_product_closed_form(alpha, beta, handed)
-            if _component_gap(product, closed) > 1e-12:
+            if _gap(product.coeffs, closed.coeffs) > 1e-12:
                 raise ArithmeticError(
                     "direct product and closed form disagree beyond 1e-12"
                 )

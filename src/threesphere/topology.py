@@ -6,6 +6,8 @@ which is not.  This module provides the membership predicates, a
 demonstration of both facts, the factorization of any 3-sphere point
 into an arbitrary number of unit factors, and the stereographic
 projection between the 2-sphere (minus its north pole) and the plane.
+The constructions also take stacked ``(..., 3)`` sphere, ``(..., 2)``
+plane and ``(N, 4)`` even-element rows.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import RIGHT_HANDED, EvenElement, Vector3, dual_bivector, even_product
+from .algebra import RIGHT_HANDED, EvenElement, _columns, _rows, dual_bivector, even_product
 
 __all__ = [
     "NorthPoleError",
@@ -84,39 +86,43 @@ def is_equatorial(q: EvenElement, tol: float = 1e-12) -> bool:
     return is_unit_s3(q, tol) and abs(q.s) <= tol
 
 
-def _random_unit_even(rng: np.random.Generator) -> EvenElement:
-    while True:
-        w = rng.standard_normal(4)
-        n = float(np.sqrt(np.dot(w, w)))
-        if n > 1e-8:
-            return EvenElement(w[0] / n, w[1] / n, w[2] / n, w[3] / n)
+def _random_unit_even(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """Uniform 3-sphere points as ``shape + (4,)`` rows: normalized 4-component Gaussians."""
+    rows = rng.standard_normal(shape + (4,))
+    return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
 
 
-def factorize_s3_point(target: EvenElement, count: int, seed: int) -> list:
+def factorize_s3_point(target, count: int, seed: int):
     """Split a 3-sphere point into ``count`` unit factors that multiply back to it.
 
     The first ``count - 1`` factors are drawn uniformly on the 3-sphere
     (normalized 4-component Gaussians, deterministic for a fixed seed);
     the last factor is the inverse of their ordered product times the
     target.  Every factor is unit and the ordered product reproduces the
-    target up to rounding.
+    target up to rounding.  An :class:`EvenElement` target gives a list
+    of factors; ``(N, 4)`` target rows give ``(N, count, 4)`` factor rows.
     """
     if count < 1:
         raise ValueError(f"factor count must be at least 1, got {count}")
-    if not is_unit_s3(target, 1e-9):
+    if isinstance(target, EvenElement):
+        rows = factorize_s3_point(np.array([target.coeffs]), count, seed)[0]
+        return [EvenElement(*row) for row in rows]
+    targets = np.asarray(target, dtype=float)
+    if not np.all(np.abs(np.sum(targets * targets, axis=-1) - 1.0) <= 1e-9):
         raise ValueError("target must lie on the unit 3-sphere (within 1e-9)")
     if count == 1:
-        return [target]
+        return targets[:, None, :].copy()
     rng = np.random.default_rng(seed)
-    factors = [_random_unit_even(rng) for _ in range(count - 1)]
-    prefix = factors[0]
-    for f in factors[1:]:
-        prefix = even_product(prefix, f)
-    last = even_product(prefix.conjugate(), target).normalized()
-    return factors + [last]
+    drawn = _random_unit_even(rng, len(targets), count - 1)
+    prefix = drawn[:, 0]
+    for k in range(1, count - 1):
+        prefix = even_product(prefix, drawn[:, k])
+    last = even_product(prefix * np.array([1.0, -1.0, -1.0, -1.0]), targets)
+    last /= np.linalg.norm(last, axis=1, keepdims=True)
+    return np.concatenate([drawn, last[:, None, :]], axis=1)
 
 
-def s2_nonclosure_witness(a: Vector3, b: Vector3) -> EvenElement:
+def s2_nonclosure_witness(a, b):
     """Product of the two equatorial points dual to ``a`` and ``b``.
 
     Its scalar part equals ``-a.dot(b)``, so whenever the directions are
@@ -126,23 +132,29 @@ def s2_nonclosure_witness(a: Vector3, b: Vector3) -> EvenElement:
     return even_product(dual_bivector(RIGHT_HANDED, a), dual_bivector(RIGHT_HANDED, b))
 
 
-def stereographic_project(p: S2Point) -> PlanePoint:
+def stereographic_project(p):
     """Project from the north pole ``(0, 0, 1)`` onto the ``z = 0`` plane.
 
     The north pole itself has no image; inputs within ``1e-12`` of it are
-    rejected with :class:`NorthPoleError`.
+    rejected with :class:`NorthPoleError`, for rows if any row is.
     """
-    d = 1.0 - p.z
-    if abs(d) <= 1e-12:
+    one = isinstance(p, S2Point)
+    x, y, z = (p.x, p.y, p.z) if one else _columns(p)
+    d = 1.0 - z
+    if np.any(np.abs(d) <= 1e-12):
         raise NorthPoleError("the north pole has no image under this projection")
-    return PlanePoint(p.x / d, p.y / d)
+    coords = (x / d, y / d)
+    return PlanePoint(*coords) if one else _rows(coords)
 
 
-def stereographic_unproject(q: PlanePoint) -> S2Point:
-    """Closed-form inverse of :func:`stereographic_project`."""
-    r2 = q.u * q.u + q.v * q.v
-    if math.isinf(r2):
-        # Limit of the inverse formula far from the origin.
-        return S2Point(0.0, 0.0, 1.0)
-    d = r2 + 1.0
-    return S2Point(2.0 * q.u / d, 2.0 * q.v / d, (r2 - 1.0) / d)
+def stereographic_unproject(q):
+    """Closed-form inverse of :func:`stereographic_project`.
+
+    The height is written ``1 - 2/(1 + r^2)``, which also gives the north
+    pole, the limit far from the origin, when ``r^2`` overflows.
+    """
+    one = isinstance(q, PlanePoint)
+    u, v = (q.u, q.v) if one else _columns(q)
+    d = u * u + v * v + 1.0
+    coords = (2.0 * u / d, 2.0 * v / d, 1.0 - 2.0 / d)
+    return S2Point(*coords) if one else _rows(coords)

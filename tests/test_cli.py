@@ -1,10 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from threesphere.cli import MAX_SCAN_ROWS, MAX_TRIALS, _scan_betas, main
+from threesphere import correlations
+from threesphere.cli import MAX_SAMPLES, MAX_SCAN_ROWS, MAX_TRIALS, _scan_betas, main
 from threesphere.correlations import joint_expectation, quantum_reference
 from threesphere.protocol import PolarizerAngle
 from threesphere.tables import read_table
@@ -271,6 +275,26 @@ def test_chsh_maximize_at_quarter_degree_saturates_the_bound(tmp_path):
     assert abs(row["chsh_value"] - TSIRELSON) <= 1e-4
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--angles-deg", 0, -45, -22.5, 22.5, "--n", 100000),
+        ("--maximize", "--step-deg", 10, "--n", 1000),
+    ],
+)
+def test_chsh_monte_carlo_makes_one_sign_sum(monkeypatch, argv):
+    calls = []
+    summed = correlations._summed_signs
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return summed(*args, **kwargs)
+
+    monkeypatch.setattr(correlations, "_summed_signs", counted)
+    assert run("chsh", *argv, "--seed", 5) == 0
+    assert len(calls) == 1
+
+
 def test_chsh_rejects_bad_argument_combinations(tmp_path):
     assert run("chsh", "--analytic") == 2  # neither angles nor maximize
     assert run("chsh", "--angles-deg", 0, 1, 2, 3, "--maximize", "--step-deg", 1, "--analytic") == 2
@@ -299,3 +323,24 @@ def test_verify_protocol_reports_the_closed_form_check_even_for_one_sample(capsy
 
 def test_verify_rejects_unknown_suite():
     assert run("verify", "spacetime") == 2
+
+
+@pytest.mark.parametrize("samples", [0, -5, MAX_SAMPLES + 1])
+def test_verify_sample_counts_outside_the_range_are_usage_errors(samples, capsys):
+    assert run("verify", "protocol", "--samples", samples) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "--samples" in captured.err and "Traceback" not in captured.err
+
+
+def test_package_runs_as_a_module():
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "threesphere", "verify", "protocol", "--samples", "10"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "verify: all properties hold"
