@@ -23,13 +23,14 @@ from threesphere import (
 alpha = PolarizerAngle.from_degrees(22.5)
 beta = PolarizerAngle.from_degrees(0.0)
 
-# A handful of raw trials: outcomes are unit bivectors, and the product
-# of each pair lands on the same circle inside the 3-sphere.
-records = run_trials(SimulationConfig(trial_count=5, seed=1, angles=((alpha, beta),)))
-for i, record in enumerate(records):
+# A handful of raw trials, one column per quantity and one row per trial:
+# outcomes are unit bivectors, and the product of each pair lands on the
+# same circle inside the 3-sphere.
+trials = run_trials(SimulationConfig(trial_count=5, seed=1, angles=((alpha, beta),)))
+for i, (sign, a, product) in enumerate(zip(trials.signs, trials.outcome_a, trials.product)):
     print(
-        f"trial {i}: orientation {record.handedness.sign:+d}, "
-        f"A = {record.outcome_a.coeffs}, product = {record.product.coeffs}"
+        f"trial {i}: orientation {sign:+d}, "
+        f"A = {tuple(a.tolist())}, product = {tuple(product.tolist())}"
     )
 
 # One arm alone averages to nothing.

@@ -52,10 +52,9 @@ from .correlations import (
     single_expectation,
 )
 from .protocol import (
-    HandednessStream,
     PolarizerAngle,
     SimulationConfig,
-    TrialRecord,
+    Trials,
     alice_outcome,
     bob_outcome,
     handedness_sign_sum,
@@ -63,7 +62,6 @@ from .protocol import (
     joint_product_closed_form,
     polarizer_axis,
     run_trials,
-    sample_handedness,
 )
 from .topology import (
     NorthPoleError,
@@ -110,12 +108,10 @@ __all__ = [
     "stereographic_project",
     "stereographic_unproject",
     "PolarizerAngle",
-    "TrialRecord",
     "SimulationConfig",
-    "HandednessStream",
+    "Trials",
     "handedness_signs",
     "handedness_sign_sum",
-    "sample_handedness",
     "polarizer_axis",
     "alice_outcome",
     "bob_outcome",

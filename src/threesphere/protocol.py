@@ -12,6 +12,9 @@ outcomes, taken in the basis the orientation selects, is again a
 
 The axis, outcome and closed-form functions also take arrays of radians
 and of +1/-1 orientation signs, and return stacked rows.
+:func:`run_trials` runs the protocol that way: one row per trial, every
+trial at once, returned as the :class:`Trials` columns ``signs``,
+``alpha``, ``beta``, ``outcome_a``, ``outcome_b`` and ``product``.
 
 Orientation sampling uses the splitmix64 generator (Steele, Lea and
 Flood, "Fast splittable pseudorandom number generators", OOPSLA 2014), so
@@ -37,10 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    LEFT_HANDED,
-    RIGHT_HANDED,
     EvenElement,
-    Handedness,
     Vector3,
     _gap,
     _rows,
@@ -51,13 +51,11 @@ from .algebra import (
 
 __all__ = [
     "PolarizerAngle",
-    "TrialRecord",
     "SimulationConfig",
-    "HandednessStream",
+    "Trials",
     "SIGN_CHUNK",
     "handedness_signs",
     "handedness_sign_sum",
-    "sample_handedness",
     "polarizer_axis",
     "alice_outcome",
     "bob_outcome",
@@ -122,27 +120,6 @@ def handedness_sign_sum(seed: int, count: int, start: int = 0) -> int:
         np.right_shift(zs, _U64(63), out=ts)
         negatives += int(np.add.reduce(ts))
     return count - 2 * negatives
-
-
-class HandednessStream:
-    """Deterministic, positionable stream of orientation samples."""
-
-    def __init__(self, seed: int, position: int = 0):
-        self.seed = int(seed)
-        self.position = int(position)
-
-    def take(self, count: int) -> np.ndarray:
-        signs = handedness_signs(self.seed, count, start=self.position)
-        self.position += count
-        return signs
-
-    def draw(self) -> Handedness:
-        return RIGHT_HANDED if self.take(1)[0] > 0 else LEFT_HANDED
-
-
-def sample_handedness(stream: HandednessStream) -> Handedness:
-    """Next 50/50 orientation sample from the stream."""
-    return stream.draw()
 
 
 @dataclass(frozen=True)
@@ -217,18 +194,6 @@ def joint_product_closed_form(alpha, beta, handedness):
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    """One simulated run: hidden variable, both outcomes, their product."""
-
-    handedness: Handedness
-    alpha: PolarizerAngle
-    beta: PolarizerAngle
-    outcome_a: EvenElement
-    outcome_b: EvenElement
-    product: EvenElement
-
-
-@dataclass(frozen=True)
 class SimulationConfig:
     """Trial count, stream seed, and the polarizer angle pairs to run."""
 
@@ -248,28 +213,40 @@ class SimulationConfig:
         object.__setattr__(self, "angles", pairs)
 
 
-def run_trials(config: SimulationConfig) -> list:
-    """Run every angle pair for ``trial_count`` trials and record each one.
+@dataclass(frozen=True, eq=False)
+class Trials:
+    """Every trial of a run as columns, in stream order.
 
-    Angle pair ``p`` consumes stream positions ``p*n .. (p+1)*n - 1``, so
-    the same trial always sees the same orientation regardless of how the
-    work is split up.  Each record's direct product is cross-checked
-    against the closed form; a disagreement beyond 1e-12 would mean the
-    algebra and the trig shortcut have diverged and raises immediately.
+    ``signs`` holds the ``(N,)`` int64 +1/-1 orientations, ``alpha`` and
+    ``beta`` the ``(N,)`` polarizer radians, and ``outcome_a``,
+    ``outcome_b`` and their ``product`` are ``(N, 4)`` even-element rows.
     """
-    records = []
+
+    signs: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    outcome_a: np.ndarray
+    outcome_b: np.ndarray
+    product: np.ndarray
+
+
+def run_trials(config: SimulationConfig) -> Trials:
+    """Run every angle pair for ``trial_count`` trials, all trials at once.
+
+    Angle pair ``p`` takes rows and stream positions ``p*n .. (p+1)*n - 1``,
+    so the same trial always sees the same orientation regardless of how
+    the work is split up.  The direct products are cross-checked against
+    the closed form; a disagreement beyond 1e-12 would mean the algebra
+    and the trig shortcut have diverged, and raises ``ArithmeticError``.
+    """
     n = config.trial_count
-    for pair_index, (alpha, beta) in enumerate(config.angles):
-        signs = handedness_signs(config.seed, n, start=pair_index * n)
-        for sign in signs:
-            handed = RIGHT_HANDED if sign > 0 else LEFT_HANDED
-            a = alice_outcome(alpha, handed)
-            b = bob_outcome(beta, handed)
-            product = oriented_even_product(handed, a, b)
-            closed = joint_product_closed_form(alpha, beta, handed)
-            if _gap(product.coeffs, closed.coeffs) > 1e-12:
-                raise ArithmeticError(
-                    "direct product and closed form disagree beyond 1e-12"
-                )
-            records.append(TrialRecord(handed, alpha, beta, a, b, product))
-    return records
+    signs = handedness_signs(config.seed, n * len(config.angles))
+    alpha, beta = (
+        np.repeat([angle.radians for angle in column], n) for column in zip(*config.angles)
+    )
+    outcome_a = alice_outcome(alpha, signs)
+    outcome_b = bob_outcome(beta, signs)
+    product = oriented_even_product(signs, outcome_a, outcome_b)
+    if _gap(product, joint_product_closed_form(alpha, beta, signs)) > 1e-12:
+        raise ArithmeticError("direct product and closed form disagree beyond 1e-12")
+    return Trials(signs, alpha, beta, outcome_a, outcome_b, product)

@@ -304,6 +304,13 @@ def test_chsh_rejects_bad_argument_combinations(tmp_path):
     assert run("chsh", "--angles-deg", 0, 1, 2, 3, "--n", 0) == 2
 
 
+@pytest.mark.parametrize("step", ["1e-320", "inf", "nan", "0", "-1"])
+def test_chsh_maximize_step_outside_the_grid_range_is_a_usage_error(step, capsys):
+    assert run("chsh", "--maximize", "--step-deg", step, "--analytic") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid step") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -107,13 +107,10 @@ def test_joint_scalar_is_seed_and_count_independent():
 
 def test_joint_estimate_equals_the_per_record_average():
     alpha, beta = PolarizerAngle(0.35), PolarizerAngle(-0.6)
-    n = 400
+    n = 10**5
     estimate = joint_expectation(alpha, beta, n, seed=77)
-    records = run_trials(SimulationConfig(trial_count=n, seed=77, angles=((alpha, beta),)))
-    averaged = [
-        math.fsum(component) / n
-        for component in zip(*[record.product.coeffs for record in records])
-    ]
+    trials = run_trials(SimulationConfig(trial_count=n, seed=77, angles=((alpha, beta),)))
+    averaged = [math.fsum(column) / n for column in trials.product.T]
     assert abs(estimate.scalar_mean - averaged[0]) <= 1e-12
     for got, brute in zip(estimate.bivector_mean, averaged[1:]):
         assert abs(got - brute) <= 1e-12
@@ -320,3 +317,6 @@ def test_grid_search_rejects_bad_resolution():
         chsh_maximize(-1.0, quantum_reference)
     with pytest.raises(ValueError):
         chsh_maximize(1e-9, quantum_reference)
+    for step in (math.inf, math.nan, 1e-322):
+        with pytest.raises(ValueError, match="grid step"):
+            chsh_maximize(step, quantum_reference)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -8,12 +9,11 @@ from threesphere.algebra import (
     LEFT_HANDED,
     RIGHT_HANDED,
     EvenElement,
-    Handedness,
     oriented_even_product,
 )
+from threesphere import protocol
 from threesphere.protocol import (
     SIGN_CHUNK,
-    HandednessStream,
     PolarizerAngle,
     SimulationConfig,
     alice_outcome,
@@ -23,7 +23,6 @@ from threesphere.protocol import (
     joint_product_closed_form,
     polarizer_axis,
     run_trials,
-    sample_handedness,
 )
 from threesphere.topology import is_equatorial, is_unit_s3
 
@@ -234,62 +233,98 @@ def test_sign_sum_rejects_a_negative_count():
         handedness_sign_sum(0, -1)
 
 
-def test_stream_object_walks_the_same_sequence():
-    stream = HandednessStream(seed=42)
-    collected = [sample_handedness(stream) for _ in range(32)]
-    expected = handedness_signs(42, 32)
-    assert all(isinstance(h, Handedness) for h in collected)
-    assert [h.sign for h in collected] == list(expected)
-    assert stream.position == 32
-    # bulk draws continue from the same position
-    stream2 = HandednessStream(seed=42)
-    assert (stream2.take(32) == expected).all()
-
-
 # ---------------------------------------------------------------------------
 # Trials
 # ---------------------------------------------------------------------------
+
+
+COLUMNS = ("signs", "alpha", "beta", "outcome_a", "outcome_b", "product")
 
 
 def test_single_trial_at_equal_angles_yields_the_scalar_one():
     config = SimulationConfig(
         trial_count=1, seed=3, angles=((PolarizerAngle(0.0), PolarizerAngle(0.0)),)
     )
-    (record,) = run_trials(config)
-    assert record.product == EvenElement.scalar(1.0)
+    trials = run_trials(config)
+    assert trials.product.shape == (1, 4)
+    assert trials.product.tolist() == [[1.0, 0.0, 0.0, 0.0]]
 
 
 def test_runs_are_bit_identical_for_a_fixed_seed():
     config = SimulationConfig(
         trial_count=4, seed=17, angles=((PolarizerAngle(0.1), PolarizerAngle(0.7)),)
     )
-    assert run_trials(config) == run_trials(config)
+    first, second = run_trials(config), run_trials(config)
+    for name in COLUMNS:
+        assert np.array_equal(getattr(first, name), getattr(second, name))
 
 
 def test_every_record_scalar_part_is_orientation_free():
     config = SimulationConfig(
         trial_count=1000, seed=5, angles=((PolarizerAngle(math.pi / 8.0), PolarizerAngle(0.0)),)
     )
-    records = run_trials(config)
-    assert len(records) == 1000
-    signs = {r.handedness.sign for r in records}
-    assert signs == {1, -1}
-    for record in records:
-        assert abs(record.product.s - ROOT_HALF) <= 1e-15
-        assert is_unit_s3(record.product, 1e-12)
-        assert is_equatorial(record.outcome_a, 1e-12)
-        assert is_equatorial(record.outcome_b, 1e-12)
+    trials = run_trials(config)
+    assert trials.signs.shape == (1000,) and trials.signs.dtype == np.int64
+    assert set(trials.signs.tolist()) == {1, -1}
+    for name in ("outcome_a", "outcome_b", "product"):
+        assert getattr(trials, name).shape == (1000, 4)
+    assert np.all(np.abs(trials.product[:, 0] - ROOT_HALF) <= 1e-15)
+    assert np.all(np.abs(np.sum(trials.product**2, axis=1) - 1.0) <= 1e-12)
+    for outcome in (trials.outcome_a, trials.outcome_b):
+        assert np.all(np.abs(outcome[:, 0]) <= 1e-12)
+        assert np.all(np.abs(np.sum(outcome**2, axis=1) - 1.0) <= 1e-12)
 
 
 def test_each_angle_pair_uses_its_own_stream_block():
     pair_a = (PolarizerAngle(0.2), PolarizerAngle(0.9))
     pair_b = (PolarizerAngle(1.1), PolarizerAngle(0.4))
     config = SimulationConfig(trial_count=8, seed=21, angles=(pair_a, pair_b))
-    records = run_trials(config)
-    signs = handedness_signs(21, 16)
-    assert [r.handedness.sign for r in records] == list(signs)
-    assert all(r.alpha == pair_a[0] for r in records[:8])
-    assert all(r.alpha == pair_b[0] for r in records[8:])
+    trials = run_trials(config)
+    assert np.array_equal(trials.signs, handedness_signs(21, 16))
+    assert np.array_equal(trials.alpha, [0.2] * 8 + [1.1] * 8)
+    assert np.array_equal(trials.beta, [0.9] * 8 + [0.4] * 8)
+
+
+def test_columns_equal_the_per_trial_records():
+    # Each row rebuilt one trial at a time through the dataclass API, as
+    # the protocol ran before it took columns; the signs are pinned too.
+    pairs = ((0.35, -0.6), (1.1, 0.4))
+    n = 10**4
+    config = SimulationConfig(
+        n, 77, tuple((PolarizerAngle(a), PolarizerAngle(b)) for a, b in pairs)
+    )
+    trials = run_trials(config)
+    digest = hashlib.sha256(trials.signs.astype("<i8").tobytes()).hexdigest()
+    assert digest == "d342fe1f6fd443f806fc66ea8c2a8d0baadcb684123bbf609e5429e4eceaf676"
+    expected = {name: [] for name in COLUMNS}
+    for p, (alpha, beta) in enumerate(config.angles):
+        for sign in handedness_signs(77, n, start=p * n):
+            handed = RIGHT_HANDED if sign > 0 else LEFT_HANDED
+            a, b = alice_outcome(alpha, handed), bob_outcome(beta, handed)
+            for name, value in zip(
+                COLUMNS,
+                (sign, alpha.radians, beta.radians, a.coeffs, b.coeffs,
+                 oriented_even_product(handed, a, b).coeffs),
+            ):
+                expected[name].append(value)
+    for name in COLUMNS:
+        assert np.array_equal(getattr(trials, name), np.array(expected[name])), name
+
+
+def test_a_closed_form_disagreement_raises(monkeypatch):
+    closed_form = protocol.joint_product_closed_form
+
+    def flipped(alpha, beta, handedness):
+        rows = closed_form(alpha, beta, handedness)
+        rows[..., 1:] *= -1.0
+        return rows
+
+    monkeypatch.setattr(protocol, "joint_product_closed_form", flipped)
+    config = SimulationConfig(
+        trial_count=10, seed=4, angles=((PolarizerAngle(0.3), PolarizerAngle(0.0)),)
+    )
+    with pytest.raises(ArithmeticError):
+        run_trials(config)
 
 
 def test_config_validation():
