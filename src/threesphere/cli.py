@@ -225,6 +225,8 @@ def cmd_chsh(args) -> int:
         raise UsageError("give exactly one of --analytic or --n")
     if args.maximize and args.step_deg is None:
         raise UsageError("--maximize needs --step-deg")
+    if args.step_deg is not None and not args.maximize:
+        raise UsageError("--step-deg needs --maximize")
     started = time.perf_counter()
 
     if args.analytic:

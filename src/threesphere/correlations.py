@@ -15,6 +15,14 @@ whole chunks, one per worker thread, with at most one worker per CPU and
 per chunk.  Any number of angle pairs share one sign sum:
 :func:`joint_estimator` computes it once for all of them, so a scan and a
 CHSH evaluation or search each make one sum.
+
+:func:`chsh_maximize` fills the grid's correlation matrix with one call of
+the correlation on radian arrays, then searches it one of two ways.  On a
+grid that wraps around the half turn, a shift-invariant correlation such
+as ``cos 2(a-b)`` gives a circulant matrix; the search checks that
+property in the matrix itself and then fixes one setting, which costs
+``O(m**2)`` for ``m`` grid points.  Any other matrix gets the exhaustive
+``O(m**3)`` scan.
 """
 
 from __future__ import annotations
@@ -25,10 +33,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .protocol import (
     SIGN_CHUNK,
     PolarizerAngle,
+    _radians,
     handedness_sign_sum,
     handedness_signs,  # noqa: F401  (re-exported; callers look it up here)
     polarizer_axis,
@@ -56,7 +66,8 @@ class CorrelationEstimate:
     The scalar and bivector channels are reported separately and never
     re-normalized; ``standard_error`` is the 1/sqrt(n) envelope of the
     +1/-1 sign population that drives the bivector channel (the scalar
-    channel is per-trial constant, hence exact).
+    channel is per-trial constant, hence exact).  Each channel is a float
+    for one angle pair, or an array for a batch of pairs.
     """
 
     scalar_mean: float
@@ -69,15 +80,23 @@ class CorrelationEstimate:
             raise ValueError(f"trial_count must be at least 1, got {self.trial_count}")
         if self.standard_error < 0.0:
             raise ValueError("standard_error must be non-negative")
-        mean = tuple(float(c) for c in self.bivector_mean)
+        mean = tuple(map(_channel, self.bivector_mean))
         if len(mean) != 3:
             raise ValueError("bivector_mean needs exactly 3 components")
+        object.__setattr__(self, "scalar_mean", _channel(self.scalar_mean))
         object.__setattr__(self, "bivector_mean", mean)
 
     @property
-    def bivector_norm(self) -> float:
+    def bivector_norm(self):
         byz, bzx, bxy = self.bivector_mean
-        return math.sqrt(byz * byz + bzx * bzx + bxy * bxy)
+        return _channel(np.sqrt(byz * byz + bzx * bzx + bxy * bxy))
+
+
+def _channel(value):
+    """A float for one angle pair, a float array for a batch of pairs."""
+    if isinstance(value, np.ndarray) and value.ndim:
+        return value.astype(float, copy=False)
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -164,14 +183,16 @@ def joint_estimator(n: int, seed: int, threads: int = 1):
     The sign sum is computed once, here, for every angle pair.  The scalar
     mean is ``cos 2(alpha-beta)`` at every seed and ``n`` and does not read
     the sum; the bivector mean is the mean sign times ``sin 2(alpha-beta)``.
+    The angles are two :class:`PolarizerAngle` or two radian arrays, which
+    give one estimate whose channels are arrays.
     """
     mean_sign = _mean_sign(n, seed, threads)
 
-    def estimate(alpha: PolarizerAngle, beta: PolarizerAngle) -> CorrelationEstimate:
-        d = 2.0 * (alpha.radians - beta.radians)
+    def estimate(alpha, beta) -> CorrelationEstimate:
+        d = 2.0 * (_radians(alpha) - _radians(beta))
         return CorrelationEstimate(
-            scalar_mean=math.cos(d),
-            bivector_mean=(0.0, 0.0, mean_sign * math.sin(d)),
+            scalar_mean=np.cos(d),
+            bivector_mean=(0.0, 0.0, mean_sign * np.sin(d)),
             trial_count=n,
             standard_error=1.0 / math.sqrt(n),
         )
@@ -197,9 +218,13 @@ def joint_expectation(
     return joint_expectations(alpha, (beta,), n, seed, threads)[0]
 
 
-def quantum_reference(alpha: PolarizerAngle, beta: PolarizerAngle) -> float:
-    """The quantum-mechanical correlation ``cos 2(alpha - beta)``."""
-    return math.cos(2.0 * (alpha.radians - beta.radians))
+def quantum_reference(alpha, beta):
+    """The quantum-mechanical correlation ``cos 2(alpha - beta)``.
+
+    A float for two :class:`PolarizerAngle`; for radian arrays, the array
+    of their broadcast shape.
+    """
+    return _channel(np.cos(2.0 * (_radians(alpha) - _radians(beta))))
 
 
 def chsh_value(settings: ChshSettings, correlation) -> float:
@@ -213,46 +238,49 @@ def chsh_value(settings: ChshSettings, correlation) -> float:
     )
 
 
-# Finest supported grid.  With the analytic correlation, chsh_maximize took
-# 0.74-0.89 s at m = 512 and 9.3-10.3 s at m = 1024 grid points (2-vCPU x86-64
-# host, numpy 2.4).  The m**3 scan extrapolates from m = 1024 to about 10
-# minutes at m = 4096, where the matrix and its two per-column temporaries
-# take about 400 MB; m = 4096 itself was not run.
+# Finest supported grid.  With the analytic correlation on a 2-vCPU x86-64
+# host (numpy 2.4), the shift search took 0.03-0.06 s at m = 1024 grid points
+# and 0.7-1.25 s at m = 4096, with a tracemalloc peak of 403 MB: the matrix
+# and its two (m, m) buffers.  The exhaustive scan stays O(m**3): 0.83-0.86 s
+# at m = 512 and 7.7-13 s at m = 1024, so about 8 to 14 minutes at m = 4096,
+# which was not run.
 _MAX_GRID = 4096
 
+# Largest |M[i, j] - M[(i - j) % m, 0]| at which the search treats the
+# correlation matrix M as circulant.  Each of the four terms of the settings
+# it then picks is off from the circulant model by at most this much, so
+# their value lies within 8 times it of the exhaustive maximum.  Exact
+# equality would not do: rolled rows of cos 2(a-b) differ in the last bit.
+_SHIFT_TOLERANCE = 1e-13
 
-def chsh_maximize(resolution: float, correlation) -> tuple:
-    """Exhaustive CHSH maximum over all angle quadruples on a ``[0, pi)`` grid.
 
-    Every quadruple ``(a, a', b, b')`` of grid angles is covered: for each
-    ``(b, b')`` column pair the best ``a`` and ``a'`` are found by exact
-    row reductions over the precomputed correlation matrix, which gives
-    the same maximum as enumerating all ``m**4`` quadruples at ``m**3``
-    cost.  Returns the maximizing settings and the value.
+def _circulant(matrix, scratch) -> bool:
+    """Whether ``matrix[i, j]`` is ``matrix[(i - j) % m, 0]`` within :data:`_SHIFT_TOLERANCE`.
+
+    Uses ``scratch``, an ``(m, m)`` float array, for the differences.
     """
-    if not (math.isfinite(resolution) and resolution > 0.0):
-        raise ValueError(f"grid step must be positive and finite, got {resolution!r} rad")
-    points = math.pi / resolution - 1e-9  # inf when the step is subnormal
-    if points > _MAX_GRID:
-        raise ValueError(
-            f"grid step {resolution:g} rad needs more than {_MAX_GRID} grid points, "
-            "the finest supported grid"
-        )
-    m = max(math.ceil(points), 1)
-    thetas = [k * resolution for k in range(m)]
-    angles = [PolarizerAngle(t) for t in thetas]
-    matrix = np.empty((m, m))
-    for i, a in enumerate(angles):
-        row = matrix[i]
-        for j, b in enumerate(angles):
-            row[j] = correlation(a, b)
+    m = len(matrix)
+    flipped = np.roll(matrix[::-1, 0], 1)  # flipped[t] = matrix[-t % m, 0]
+    # Row i of the window view is flipped rolled by i: [i, j] -> matrix[(i - j) % m, 0].
+    shifted = sliding_window_view(np.concatenate((flipped, flipped)), m)[m:0:-1]
+    np.subtract(matrix, shifted, out=scratch)
+    return bool(np.abs(scratch, out=scratch).max() <= _SHIFT_TOLERANCE)
 
+
+def _column_search(matrix, columns, plus, minus) -> tuple:
+    """Grid indices ``(a, a', b, b')`` of the largest CHSH value with ``b'`` in ``columns``.
+
+    For each ``b'`` column the best ``a`` and ``a'`` for every ``b`` are
+    exact row reductions, so ``columns = range(m)`` covers all ``m**4``
+    quadruples at ``m**3`` cost.  ``plus`` and ``minus`` are ``(m, m)``
+    float buffers, overwritten for every column.
+    """
     best_value = -math.inf
     best = (0, 0, 0, 0)
-    for bp in range(m):
+    for bp in columns:
         column = matrix[:, bp : bp + 1]
-        plus = matrix + column  # [a, b] -> E(a,b) + E(a,b')
-        minus = matrix - column  # [a', b] -> E(a',b) - E(a',b')
+        np.add(matrix, column, out=plus)  # [a, b] -> E(a,b) + E(a,b')
+        np.subtract(matrix, column, out=minus)  # [a', b] -> E(a',b) - E(a',b')
         pos = plus.max(axis=0) + minus.max(axis=0)
         neg = -(plus.min(axis=0) + minus.min(axis=0))
         b_pos = int(np.argmax(pos))
@@ -265,9 +293,45 @@ def chsh_maximize(resolution: float, correlation) -> tuple:
             b = b_neg
             best_value = float(neg[b])
             best = (int(np.argmin(plus[:, b])), int(np.argmin(minus[:, b])), b, bp)
+    return best
 
-    ia, iap, ib, ibp = best
-    settings = ChshSettings(
-        alpha=angles[ia], alpha_prime=angles[iap], beta=angles[ib], beta_prime=angles[ibp]
-    )
-    return settings, chsh_value(settings, correlation)
+
+def chsh_maximize(resolution: float, correlation) -> tuple:
+    """CHSH maximum over all angle quadruples on a ``[0, pi)`` grid.
+
+    ``correlation(a, b)`` is called once, on the radian arrays
+    ``theta[:, None]`` and ``theta[None, :]`` of the ``m`` grid angles,
+    and its result is broadcast to the ``(m, m)`` matrix
+    ``M[i, j] = E(theta_i, theta_j)``.  The search then takes one of two
+    paths, chosen from the matrix alone:
+
+    * Shift search, ``O(m**2)``: when the grid wraps (``m * resolution``
+      is ``pi`` within ``1e-9 * pi``) and ``M`` is circulant within
+      :data:`_SHIFT_TOLERANCE`.  Moving all four settings by one grid step
+      then keeps the value, so fixing ``b' = 0`` loses no maximum.
+    * Exhaustive scan, ``O(m**3)``: every other matrix, such as an
+      asymmetric correlation or a step that does not divide the half turn.
+
+    Both cover the same quadruples; on ties they may pick different
+    settings.  Returns the maximizing settings and the value, summed from
+    the matrix in the order of :func:`chsh_value`.
+    """
+    if not (math.isfinite(resolution) and resolution > 0.0):
+        raise ValueError(f"grid step must be positive and finite, got {resolution!r} rad")
+    points = math.pi / resolution - 1e-9  # inf when the step is subnormal
+    if points > _MAX_GRID:
+        raise ValueError(
+            f"grid step {resolution:g} rad needs more than {_MAX_GRID} grid points, "
+            "the finest supported grid"
+        )
+    m = max(math.ceil(points), 1)
+    thetas = np.arange(m) * resolution
+    matrix = np.asarray(correlation(thetas[:, None], thetas[None, :]), dtype=float)
+    matrix = np.broadcast_to(matrix, (m, m))
+    plus, minus = np.empty((m, m)), np.empty((m, m))
+    wraps = abs(m * resolution - math.pi) <= 1e-9 * math.pi
+    columns = range(1) if wraps and _circulant(matrix, plus) else range(m)
+    ia, iap, ib, ibp = _column_search(matrix, columns, plus, minus)
+    settings = ChshSettings(*(PolarizerAngle(thetas[i]) for i in (ia, iap, ib, ibp)))
+    value = abs(matrix[ia, ib] + matrix[ia, ibp] + matrix[iap, ib] - matrix[iap, ibp])
+    return settings, float(value)

@@ -302,6 +302,7 @@ def test_chsh_rejects_bad_argument_combinations(tmp_path):
     assert run("chsh", "--angles-deg", 0, 1, 2, 3, "--analytic", "--n", 10) == 2
     assert run("chsh", "--maximize", "--analytic") == 2  # missing step
     assert run("chsh", "--angles-deg", 0, 1, 2, 3, "--n", 0) == 2
+    assert run("chsh", "--angles-deg", 0, 1, 2, 3, "--step-deg", 5, "--analytic") == 2
 
 
 @pytest.mark.parametrize("step", ["1e-320", "inf", "nan", "0", "-1"])

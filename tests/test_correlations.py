@@ -11,6 +11,7 @@ from threesphere.correlations import (
     CorrelationEstimate,
     chsh_maximize,
     chsh_value,
+    joint_estimator,
     joint_expectation,
     joint_expectations,
     quantum_reference,
@@ -114,6 +115,20 @@ def test_joint_estimate_equals_the_per_record_average():
     assert abs(estimate.scalar_mean - averaged[0]) <= 1e-12
     for got, brute in zip(estimate.bivector_mean, averaged[1:]):
         assert abs(got - brute) <= 1e-12
+
+
+def test_joint_estimator_takes_radian_arrays():
+    estimate = joint_estimator(5000, seed=4)
+    alphas, betas = np.radians([0.0, 17.0, 95.5]), np.radians([22.5, -40.0, 179.0])
+    batch = estimate(alphas[:, None], betas[None, :])
+    assert batch.scalar_mean.shape == batch.bivector_mean[2].shape == (3, 3)
+    for i, alpha in enumerate(alphas):
+        for j, beta in enumerate(betas):
+            one = estimate(PolarizerAngle(alpha), PolarizerAngle(beta))
+            assert isinstance(one.scalar_mean, float)
+            assert batch.scalar_mean[i, j] == one.scalar_mean
+            assert batch.bivector_mean[2][i, j] == one.bivector_mean[2]
+            assert batch.bivector_norm[i, j] == one.bivector_norm
 
 
 def test_joint_merges_like_a_weighted_average():
@@ -232,6 +247,16 @@ def test_reference_values():
     assert quantum_reference(deg(0.0), deg(0.0)) == 1.0
     assert abs(quantum_reference(deg(0.0), deg(45.0))) <= 1e-15
     assert abs(quantum_reference(deg(0.0), deg(22.5)) - ROOT_HALF) <= 1e-15
+    assert isinstance(quantum_reference(deg(10.0), deg(70.0)), float)
+
+
+def test_reference_on_radian_arrays_equals_the_scalar_formula():
+    thetas = np.arange(240) * math.radians(0.75)
+    grid = quantum_reference(thetas[:, None], thetas[None, :])
+    assert grid.shape == (240, 240)
+    for i in range(0, 240, 7):
+        for j in range(240):
+            assert grid[i, j] == math.cos(2.0 * (thetas[i] - thetas[j]))
 
 
 def test_chsh_with_equal_settings_is_two():
@@ -268,30 +293,127 @@ def test_chsh_bound_holds_for_random_quadruples():
 
 
 def brute_force_maximum(resolution, correlation):
-    m = int(math.ceil(math.pi / resolution - 1e-9))
-    angles = [PolarizerAngle(k * resolution) for k in range(max(m, 1))]
-    best = -math.inf
-    for a, ap, b, bp in itertools.product(angles, repeat=4):
-        best = max(best, chsh_value(ChshSettings(a, ap, b, bp), correlation))
-    return best
+    """Largest CHSH value over every quadruple of grid angles, one scalar call per cell."""
+    m = max(int(math.ceil(math.pi / resolution - 1e-9)), 1)
+    thetas = [k * resolution for k in range(m)]
+    e = np.array([[correlation(a, b) for b in thetas] for a in thetas], dtype=float)
+    a, ap, b, bp = np.ix_(*[range(m)] * 4)
+    return float(np.abs(e[a, b] + e[a, bp] + e[ap, b] - e[ap, bp]).max())
+
+
+def on_angles(correlation):
+    """The radian-array ``correlation`` as a function of two :class:`PolarizerAngle`."""
+    return lambda a, b: float(correlation(a.radians, b.radians))
+
+
+def sawtooth(alpha, beta):
+    """Correlation of the local +1/-1 sign model, ``1 - 4|d|/pi`` with ``d`` wrapped to [-pi/2, pi/2)."""
+    d = np.mod(np.subtract(alpha, beta) + math.pi / 2.0, math.pi) - math.pi / 2.0
+    return 1.0 - 4.0 * np.abs(d) / math.pi
+
+
+def lopsided(alpha, beta):
+    """Neither symmetric nor shift-invariant."""
+    return 0.6 * np.sin(alpha) - 0.8 * np.cos(2.0 * beta) + 0.1 * np.cos(3.0 * (alpha + beta))
+
+
+def tilted(alpha, beta):
+    """Shift-invariant, but not even in ``alpha - beta``."""
+    d = 2.0 * np.subtract(alpha, beta)
+    return 0.8 * np.cos(d) + 0.6 * np.sin(d)
+
+
+# 15, 20 and 22.5 degrees divide the half turn, 7 degrees does not.
+GRID_STEPS_DEG = (15.0, 20.0, 22.5, 7.0)
+
+
+def assert_matches_brute_force(correlation):
+    for step_deg in GRID_STEPS_DEG:
+        resolution = math.radians(step_deg)
+        settings, value = chsh_maximize(resolution, correlation)
+        assert value == pytest.approx(brute_force_maximum(resolution, correlation), abs=1e-12)
+        assert chsh_value(settings, on_angles(correlation)) == pytest.approx(value, abs=1e-12)
 
 
 def test_grid_search_matches_brute_force_for_the_reference():
-    resolution = math.pi / 12.0
-    _, value = chsh_maximize(resolution, quantum_reference)
-    assert value == pytest.approx(brute_force_maximum(resolution, quantum_reference), abs=1e-12)
+    assert_matches_brute_force(quantum_reference)
 
 
 def test_grid_search_matches_brute_force_for_an_asymmetric_correlation():
-    def lopsided(alpha, beta):
-        return 0.6 * math.sin(alpha.radians) - 0.8 * math.cos(2.0 * beta.radians) + 0.1 * math.cos(
-            3.0 * (alpha.radians + beta.radians)
-        )
+    assert_matches_brute_force(lopsided)
 
-    resolution = math.pi / 9.0
-    settings, value = chsh_maximize(resolution, lopsided)
-    assert value == pytest.approx(brute_force_maximum(resolution, lopsided), abs=1e-12)
-    assert chsh_value(settings, lopsided) == pytest.approx(value, abs=1e-12)
+
+def test_grid_search_matches_brute_force_for_the_local_sawtooth():
+    assert_matches_brute_force(sawtooth)
+
+
+def test_grid_search_matches_brute_force_for_a_tilted_correlation(monkeypatch):
+    searched = spy_on_searched_columns(monkeypatch)
+    assert_matches_brute_force(tilted)
+    assert searched == [1, 1, 1, 26]
+
+
+def spy_on_searched_columns(monkeypatch):
+    """Record how many ``b'`` columns each grid search scans."""
+    searched = []
+    search = correlations._column_search
+
+    def spy(matrix, columns, plus, minus):
+        searched.append(len(columns))
+        return search(matrix, columns, plus, minus)
+
+    monkeypatch.setattr(correlations, "_column_search", spy)
+    return searched
+
+
+def test_the_reference_on_a_wrapping_grid_takes_the_shift_search(monkeypatch):
+    searched = spy_on_searched_columns(monkeypatch)
+    for step_deg in (22.5, 0.75, 0.25):
+        _, value = chsh_maximize(math.radians(step_deg), quantum_reference)
+        assert abs(value - TSIRELSON) <= 1e-12
+    assert searched == [1, 1, 1]
+
+
+def test_non_wrapping_and_asymmetric_grids_take_the_exhaustive_scan(monkeypatch):
+    searched = spy_on_searched_columns(monkeypatch)
+    chsh_maximize(math.radians(7.0), quantum_reference)
+    chsh_maximize(math.radians(7.0), lambda a, b: 1.0)  # circulant, but the grid does not wrap
+    chsh_maximize(math.radians(15.0), lopsided)
+    assert searched == [26, 26, 12]
+
+
+def test_a_perturbed_circulant_matrix_takes_the_exhaustive_scan(monkeypatch):
+    resolution = math.radians(22.5)
+    a, b = 0 * resolution, 7 * resolution  # E(a, b) of a maximizing quadruple with b' = 1
+
+    def perturbed(alpha, beta):
+        moved = np.logical_and(np.equal(alpha, a), np.equal(beta, b))
+        return quantum_reference(alpha, beta) + 1e-9 * moved
+
+    searched = spy_on_searched_columns(monkeypatch)
+    settings, value = chsh_maximize(resolution, perturbed)
+    assert searched == [8]
+    expected = brute_force_maximum(resolution, perturbed)
+    assert expected > TSIRELSON + 5e-10
+    assert value == pytest.approx(expected, abs=1e-12)
+    assert chsh_value(settings, on_angles(perturbed)) == pytest.approx(value, abs=1e-12)
+
+
+@pytest.mark.parametrize("correlation, bound", [(quantum_reference, TSIRELSON), (sawtooth, 2.0)])
+def test_shift_search_and_exhaustive_scan_agree_at_three_quarter_degree(
+    monkeypatch, correlation, bound
+):
+    resolution = math.radians(0.75)
+    searched = spy_on_searched_columns(monkeypatch)
+    shift_settings, shift_value = chsh_maximize(resolution, correlation)
+    monkeypatch.setattr(correlations, "_circulant", lambda matrix, scratch: False)
+    _, exhaustive_value = chsh_maximize(resolution, correlation)
+    assert searched == [1, 240]
+    assert shift_value == pytest.approx(exhaustive_value, abs=1e-12)
+    assert chsh_value(shift_settings, on_angles(correlation)) == pytest.approx(shift_value, abs=1e-12)
+    if correlation is quantum_reference:
+        assert abs(shift_value - TSIRELSON) <= 1e-12
+    assert shift_value <= bound + 1e-12
 
 
 def test_grid_search_saturates_the_quantum_bound():
@@ -303,6 +425,7 @@ def test_grid_search_saturates_the_quantum_bound():
 def test_grid_search_with_constant_correlation():
     _, value = chsh_maximize(math.radians(2.5), lambda a, b: 1.0)
     assert value == pytest.approx(2.0, abs=1e-12)
+    assert_matches_brute_force(lambda a, b: 1.0)
 
 
 def test_grid_search_on_the_single_point_grid():
