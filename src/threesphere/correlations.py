@@ -312,9 +312,10 @@ def chsh_maximize(resolution: float, correlation) -> tuple:
     * Exhaustive scan, ``O(m**3)``: every other matrix, such as an
       asymmetric correlation or a step that does not divide the half turn.
 
-    Both cover the same quadruples; on ties they may pick different
-    settings.  Returns the maximizing settings and the value, summed from
-    the matrix in the order of :func:`chsh_value`.
+    Both find the largest value, the shift search to within
+    ``8 * _SHIFT_TOLERANCE``; on ties they may pick different settings.
+    Returns the maximizing settings and the value, summed from the matrix
+    in the order of :func:`chsh_value`.
     """
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise ValueError(f"grid step must be positive and finite, got {resolution!r} rad")
