@@ -8,10 +8,10 @@ duration (the only place a timestamp appears).
 
 Exit codes: 0 success, 1 runtime or property failure, 2 usage error.
 Every numeric input has a bounded range: ``--n`` runs from 1 to
-:data:`MAX_TRIALS`, ``--threads`` is at least 1 (and is capped at the CPU
-count when the work is sharded), a scan yields at most
-:data:`MAX_SCAN_ROWS` rows over a finite angle range, and ``verify
---samples`` runs from 1 to :data:`MAX_SAMPLES`.
+:data:`MAX_TRIALS`, ``--seed`` from 0 to :data:`MAX_SEED`, ``--threads``
+is at least 1 (and is capped at the CPU count when the work is sharded),
+a scan yields at most :data:`MAX_SCAN_ROWS` rows over a finite angle
+range, and ``verify --samples`` runs from 1 to :data:`MAX_SAMPLES`.
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ MAX_SCAN_ROWS = 100_000
 # Largest verify --samples; about 2 minutes at the measured 10 us per sample.
 MAX_SAMPLES = 10**7
 
+# Largest --seed: the orientation stream reads the seed as one uint64.
+MAX_SEED = 2**64 - 1
+
 
 class UsageError(Exception):
     pass
@@ -63,7 +66,7 @@ def _int_in_range(low: int, high=None):
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low or (high is not None and value > high):
-            upper = "" if high is None else f" and at most {high:.0e}"
+            upper = "" if high is None else f" and at most {high}"
             raise argparse.ArgumentTypeError(f"must be at least {low}{upper}, got {value}")
         return value
 
@@ -324,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--n", type=_int_in_range(1, MAX_TRIALS), default=default_n,
             help=f"trials per estimate, 1 to {MAX_TRIALS:.0e}",
         )
-        p.add_argument("--seed", type=int, default=0, help="stream seed")
+        p.add_argument("--seed", type=_int_in_range(0, MAX_SEED), default=0, help="stream seed")
         p.add_argument(
             "--threads", type=_int_in_range(1), default=1,
             help="worker threads for the trial range, at least 1; capped at the CPU count",
@@ -360,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples", type=_int_in_range(1, MAX_SAMPLES), default=1000,
         help=f"instances per check, 1 to {MAX_SAMPLES:.0e}",
     )
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--seed", type=_int_in_range(0, MAX_SEED), default=0, help="suite seed")
     verify.set_defaults(func=cmd_verify)
 
     return parser

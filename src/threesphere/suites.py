@@ -37,7 +37,7 @@ from .protocol import (
 from .topology import (
     NorthPoleError,
     S2Point,
-    _random_unit_even,
+    _random_unit_rows,
     factorize_s3_point,
     s2_nonclosure_witness,
     stereographic_project,
@@ -81,11 +81,6 @@ def _worst(samples: int, block_residual) -> float:
 
 def _random_signs(rng, size: int) -> np.ndarray:
     return 1.0 - 2.0 * rng.integers(2, size=size)
-
-
-def _random_unit_vectors(rng, size: int) -> np.ndarray:
-    vectors = rng.standard_normal((size, 3))
-    return vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
 
 
 def _random_angles(rng, size: int) -> np.ndarray:
@@ -157,7 +152,7 @@ def topology_suite(samples: int = 1000, seed: int = 0) -> list:
     rng = np.random.default_rng(seed)
 
     def round_trip(size):
-        points = _random_unit_vectors(rng, size)
+        points = _random_unit_rows(rng, 3, size)
         points[points[:, 2] > 1.0 - 1e-6, 2] *= -1.0
         return _gap(stereographic_unproject(stereographic_project(points)), points)
 
@@ -171,7 +166,7 @@ def topology_suite(samples: int = 1000, seed: int = 0) -> list:
     # one count in a block are factorized together, under a fresh seed.
     worst_product = worst_unit = 0.0
     for start, size in _blocks(samples):
-        targets = _random_unit_even(rng, size)
+        targets = _random_unit_rows(rng, 4, size)
         counts = 1 + (start + np.arange(size)) % 8
         for count in sorted(set(counts.tolist())):
             chosen = targets[counts == count]
@@ -183,11 +178,11 @@ def topology_suite(samples: int = 1000, seed: int = 0) -> list:
             worst_unit = max(worst_unit, _gap(np.sum(factors * factors, axis=-1), 1.0))
 
     def witness(size):
-        a, b = _random_unit_vectors(rng, size), _random_unit_vectors(rng, size)
+        a, b = _random_unit_rows(rng, 3, size), _random_unit_rows(rng, 3, size)
         return _gap(s2_nonclosure_witness(a, b)[:, 0], -np.sum(a * b, axis=1))
 
     def closure(size):
-        p, q = _random_unit_even(rng, size), _random_unit_even(rng, size)
+        p, q = _random_unit_rows(rng, 4, size), _random_unit_rows(rng, 4, size)
         return _gap(np.sum(even_product(p, q) ** 2, axis=1), 1.0)
 
     return [

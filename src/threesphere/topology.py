@@ -86,9 +86,9 @@ def is_equatorial(q: EvenElement, tol: float = 1e-12) -> bool:
     return is_unit_s3(q, tol) and abs(q.s) <= tol
 
 
-def _random_unit_even(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    """Uniform 3-sphere points as ``shape + (4,)`` rows: normalized 4-component Gaussians."""
-    rows = rng.standard_normal(shape + (4,))
+def _random_unit_rows(rng: np.random.Generator, width: int, *shape: int) -> np.ndarray:
+    """Uniform points of the unit sphere in ``width`` dimensions as ``shape + (width,)`` rows."""
+    rows = rng.standard_normal(shape + (width,))
     return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
 
 
@@ -113,7 +113,7 @@ def factorize_s3_point(target, count: int, seed: int):
     if count == 1:
         return targets[:, None, :].copy()
     rng = np.random.default_rng(seed)
-    drawn = _random_unit_even(rng, len(targets), count - 1)
+    drawn = _random_unit_rows(rng, 4, len(targets), count - 1)
     prefix = drawn[:, 0]
     for k in range(1, count - 1):
         prefix = even_product(prefix, drawn[:, k])

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import threesphere
-from threesphere import cli, correlations, suites
+from threesphere import algebra, cli, correlations, protocol, suites, topology
 from threesphere.tables import read_table
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -33,6 +33,17 @@ def test_every_wrap_point_resolves(monkeypatch):
 def test_every_public_name_resolves():
     for name in threesphere.__all__:
         assert hasattr(threesphere, name), name
+
+
+def test_package_names_come_from_disjoint_layer_lists():
+    layers = [algebra, topology, protocol, correlations]
+    names = [name for layer in layers for name in layer.__all__]
+    assert len(names) == len(set(names)), "a name is declared by two layers"
+    assert threesphere.__all__ == ["__version__", *names]
+    assert len(threesphere.__all__) == len(set(threesphere.__all__))
+    for layer in layers:
+        for name in layer.__all__:
+            assert getattr(threesphere, name) is getattr(layer, name), name
 
 
 @pytest.mark.parametrize("source", [("--analytic",), ("--n", "1000")])

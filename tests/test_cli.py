@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from threesphere import correlations
-from threesphere.cli import MAX_SAMPLES, MAX_SCAN_ROWS, MAX_TRIALS, _scan_betas, main
+from threesphere.cli import MAX_SAMPLES, MAX_SCAN_ROWS, MAX_SEED, MAX_TRIALS, _scan_betas, main
 from threesphere.correlations import joint_expectation, quantum_reference
 from threesphere.protocol import PolarizerAngle
 from threesphere.tables import read_table
@@ -111,6 +111,21 @@ def test_thread_counts_below_one_are_usage_errors(tmp_path, threads):
     assert run("scan", "--alpha-deg", 0, "--beta-start", 0, "--beta-stop", 10, "--beta-step", 5,
                "--n", 10, "--threads", threads, "--out", out) == 2
     assert not out.exists()
+
+
+def test_seeds_outside_the_uint64_range_are_usage_errors(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    for seed in (-1, MAX_SEED + 1):
+        assert run("simulate", "--alpha-deg", 0, "--beta-deg", 0, "--seed", seed, "--out", out) == 2
+        assert run("scan", "--alpha-deg", 0, "--beta-start", 0, "--beta-stop", 0, "--beta-step", 1,
+                   "--seed", seed, "--out", out) == 2
+        assert run("chsh", "--angles-deg", 0, 1, 2, 3, "--n", 10, "--seed", seed) == 2
+        assert run("verify", "protocol", "--samples", 1, "--seed", seed) == 2
+        message = f"argument --seed: must be at least 0 and at most {MAX_SEED}, got {seed}"
+        assert capsys.readouterr().err.count(message) == 4
+    assert not out.exists()
+    assert run("simulate", "--alpha-deg", 0, "--beta-deg", 0, "--n", 10, "--seed", MAX_SEED,
+               "--out", out) == 0
 
 
 def test_simulate_manifest_records_the_stream_plan(tmp_path):

@@ -1,6 +1,7 @@
-"""Each narrative demo runs to completion as a script."""
+"""Each narrative demo runs to completion as a script, and so do the README's examples."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +26,12 @@ def test_demo_runs(demo):
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_python_blocks_run_in_order():
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 3
+    namespace = {}
+    for block in blocks:  # later blocks use names the earlier ones import
+        exec(compile(block, "README.md", "exec"), namespace)

@@ -1,8 +1,9 @@
 """The array kernels behind the identity suites, and the suites themselves.
 
-Every batched operation must agree row for row with its dataclass form,
-each suite must be able to fail when the code it checks is wrong, and the
-block size must keep memory flat in the sample count.
+Every batched operation must agree row for row with a per-row formula
+written here, and its dataclass form with its batch row; each suite must
+be able to fail when the code it checks is wrong, and the block size must
+keep memory flat in the sample count.
 """
 
 import math
@@ -88,8 +89,64 @@ def handed(request):
 
 
 # ---------------------------------------------------------------------------
-# Batched rows equal the dataclass results row for row
+# Batched rows equal independent per-row formulas
+#
+# The oracles below use plain floats, ``complex`` and ``math`` only, so a
+# wrong kernel cannot agree with them by sharing code.  Each test also keeps
+# one exact check that the dataclass call equals its batch row.
 # ---------------------------------------------------------------------------
+
+GRADES = (0, 1, 1, 1, 2, 2, 2, 3)
+
+
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def full_product_oracle(a, b):
+    """Geometric product with the algebra read as complex scalar plus complex vector.
+
+    The volume element ``i = e_xyz`` is central and squares to -1, and
+    ``e_yz, e_zx, e_xy = i e_x, i e_y, i e_z``; vector parts multiply as
+    ``u v = u.v + i (u x v)``, which stays true for complex vectors.
+    """
+    s, t = complex(a[0], a[7]), complex(b[0], b[7])
+    u = [complex(a[1 + k], a[4 + k]) for k in range(3)]
+    v = [complex(b[1 + k], b[4 + k]) for k in range(3)]
+    scalar = s * t + dot(u, v)
+    vector = [s * y + t * x + 1j * c for x, y, c in zip(u, v, cross(u, v))]
+    return (scalar.real, *(c.real for c in vector), *(c.imag for c in vector), scalar.imag)
+
+
+def wedge_oracle(a, b):
+    """Sum over grades ``r, s`` of the grade ``r + s`` part of ``a_r b_s``."""
+    out = [0.0] * 8
+    for r in range(4):
+        for s in range(4 - r):
+            a_r = [c if g == r else 0.0 for c, g in zip(a, GRADES)]
+            b_s = [c if g == s else 0.0 for c, g in zip(b, GRADES)]
+            for k, c in enumerate(full_product_oracle(a_r, b_s)):
+                if GRADES[k] == r + s:
+                    out[k] += c
+    return out
+
+
+def dual_oracle(h, u):
+    """The oriented dual copies ``x, y, z`` onto ``e_yz, e_zx, e_xy`` times ``h``."""
+    return (0.0, *(h * c for c in u))
+
+
+def even_product_oracle(h, p, q):
+    """``(s + B(u))(t + B(v)) = st - u.v + B(sv + tu - h u x v)``, B the dual map."""
+    s, u, t, v = p[0], p[1:], q[0], q[1:]
+    return (s * t - dot(u, v), *(s * y + t * x - h * c for x, y, c in zip(u, v, cross(u, v))))
+
+
+FULL_ORACLES = {geometric_product: full_product_oracle, wedge: wedge_oracle}
 
 
 @pytest.mark.parametrize("product", [geometric_product, wedge])
@@ -97,31 +154,35 @@ def test_full_products_match_the_dataclass_form(rng, product):
     lhs, rhs = rng.uniform(-5.0, 5.0, (2, ROWS, 8))
     rows = product(lhs, rhs)
     assert rows.shape == (ROWS, 8)
-    for a, b, row in zip(lhs, rhs, rows):
-        expected = product(Multivector(tuple(a)), Multivector(tuple(b))).coeffs
-        # The one-row call and the batch may sum the 64 terms in another
-        # order, so agreement is to rounding of coefficients below 25*8.
-        np.testing.assert_allclose(row, expected, rtol=0.0, atol=1e-12)
+    expected = [FULL_ORACLES[product](a, b) for a, b in zip(lhs, rhs)]
+    # Coefficients reach about 25*8, so the two summation orders agree to 1e-12.
+    np.testing.assert_allclose(rows, expected, rtol=0.0, atol=1e-12)
+    assert product(Multivector(tuple(lhs[0])), Multivector(tuple(rhs[0]))).coeffs == tuple(rows[0])
 
 
 def test_even_products_match_the_dataclass_form(rng, handed):
     lhs, rhs = rng.standard_normal((2, ROWS, 4))
-    signs = np.full(ROWS, float(handed.sign))
-    oriented = oriented_even_product(signs, lhs, rhs)
+    oriented = oriented_even_product(np.full(ROWS, float(handed.sign)), lhs, rhs)
     canonical = even_product(lhs, rhs)
-    for a, b, row, right in zip(lhs, rhs, oriented, canonical):
-        p, q = EvenElement(*a), EvenElement(*b)
-        assert tuple(row) == oriented_even_product(handed, p, q).coeffs
-        assert tuple(right) == even_product(p, q).coeffs
+    np.testing.assert_allclose(
+        oriented, [even_product_oracle(handed.sign, a, b) for a, b in zip(lhs, rhs)], atol=1e-14
+    )
+    np.testing.assert_allclose(
+        canonical, [even_product_oracle(1, a, b) for a, b in zip(lhs, rhs)], atol=1e-14
+    )
+    p, q = EvenElement(*lhs[0]), EvenElement(*rhs[0])
+    assert oriented_even_product(handed, p, q).coeffs == tuple(oriented[0])
+    assert even_product(p, q).coeffs == tuple(canonical[0])
 
 
 def test_mixed_row_signs_pick_each_row_orientation(rng):
     lhs, rhs = rng.standard_normal((2, ROWS, 4))
     signs = 1.0 - 2.0 * rng.integers(2, size=ROWS)
     rows = oriented_even_product(signs, lhs, rhs)
-    for sign, a, b, row in zip(signs, lhs, rhs, rows):
-        expected = oriented_even_product(Handedness(int(sign)), EvenElement(*a), EvenElement(*b))
-        assert tuple(row) == expected.coeffs
+    expected = [even_product_oracle(h, a, b) for h, a, b in zip(signs, lhs, rhs)]
+    np.testing.assert_allclose(rows, expected, rtol=0.0, atol=1e-14)
+    p, q = EvenElement(*lhs[-1]), EvenElement(*rhs[-1])
+    assert oriented_even_product(Handedness(int(signs[-1])), p, q).coeffs == tuple(rows[-1])
 
 
 def test_duals_and_identity_residuals_match_the_dataclass_form(rng, handed):
@@ -130,27 +191,39 @@ def test_duals_and_identity_residuals_match_the_dataclass_form(rng, handed):
     duals = dual_bivector(signs, a)
     residuals = bivector_identity_residual(signs, a, b)
     witnesses = s2_nonclosure_witness(a, b)
-    for u, v, dual, residual, witness in zip(a, b, duals, residuals, witnesses):
-        u3, v3 = Vector3(*u), Vector3(*v)
-        assert tuple(dual) == dual_bivector(handed, u3).coeffs
-        assert tuple(residual) == bivector_identity_residual(handed, u3, v3).coeffs
-        assert tuple(witness) == s2_nonclosure_witness(u3, v3).coeffs
+    assert duals.tolist() == [list(dual_oracle(handed.sign, u)) for u in a]
+    # The identity holds exactly, so the residual is rounding of terms near 10.
+    np.testing.assert_allclose(residuals, 0.0, rtol=0.0, atol=1e-13)
+    expected = [(-dot(u, v), *(-c for c in cross(u, v))) for u, v in zip(a, b)]
+    np.testing.assert_allclose(witnesses, expected, rtol=0.0, atol=1e-14)
+    u3, v3 = Vector3(*a[0]), Vector3(*b[0])
+    assert dual_bivector(handed, u3).coeffs == tuple(duals[0])
+    assert bivector_identity_residual(handed, u3, v3).coeffs == tuple(residuals[0])
+    assert s2_nonclosure_witness(u3, v3).coeffs == tuple(witnesses[0])
 
 
 def test_outcomes_match_the_dataclass_form(rng, handed):
     alpha, beta = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (2, ROWS))
-    signs = np.full(ROWS, float(handed.sign))
+    h = handed.sign
+    signs = np.full(ROWS, float(h))
     axes = polarizer_axis(alpha)
     alices = alice_outcome(alpha, signs)
     bobs = bob_outcome(beta, signs)
     closed = joint_product_closed_form(alpha, beta, signs)
-    for a, b, axis, alice, bob, joint in zip(alpha, beta, axes, alices, bobs, closed):
-        pa, pb = PolarizerAngle(a), PolarizerAngle(b)
-        v = polarizer_axis(pa)
-        assert tuple(axis) == (v.x, v.y, v.z)
-        assert tuple(alice) == alice_outcome(pa, handed).coeffs
-        assert tuple(bob) == bob_outcome(pb, handed).coeffs
-        assert tuple(joint) == joint_product_closed_form(pa, pb, handed).coeffs
+    def check(rows, expected):  # numpy's and libm's sine may differ in the last bit
+        np.testing.assert_allclose(rows, expected, rtol=0.0, atol=1e-15)
+
+    check(axes, [(math.sin(2.0 * a), math.cos(2.0 * a), 0.0) for a in alpha])
+    check(alices, [(0.0, h * math.sin(2.0 * a), h * math.cos(2.0 * a), 0.0) for a in alpha])
+    check(bobs, [(0.0, -h * math.sin(2.0 * b), -h * math.cos(2.0 * b), 0.0) for b in beta])
+    d = [2.0 * (a - b) for a, b in zip(alpha, beta)]
+    check(closed, [(math.cos(x), 0.0, 0.0, h * math.sin(x)) for x in d])
+    pa, pb = PolarizerAngle(alpha[0]), PolarizerAngle(beta[0])
+    v = polarizer_axis(pa)
+    assert (v.x, v.y, v.z) == tuple(axes[0])
+    assert alice_outcome(pa, handed).coeffs == tuple(alices[0])
+    assert bob_outcome(pb, handed).coeffs == tuple(bobs[0])
+    assert joint_product_closed_form(pa, pb, handed).coeffs == tuple(closed[0])
 
 
 def test_stereographic_maps_match_the_dataclass_form(rng):
@@ -158,11 +231,17 @@ def test_stereographic_maps_match_the_dataclass_form(rng):
     points[points[:, 2] > 0.999, 2] *= -1.0
     images = stereographic_project(points)
     backs = stereographic_unproject(images)
-    for point, image, back in zip(points, images, backs):
-        plane = stereographic_project(S2Point(*point))
-        assert tuple(image) == (plane.u, plane.v)
-        sphere = stereographic_unproject(PlanePoint(*image))
-        assert tuple(back) == (sphere.x, sphere.y, sphere.z)
+    expected = [(x / (1.0 - z), y / (1.0 - z)) for x, y, z in points]
+    np.testing.assert_allclose(images, expected, rtol=1e-14, atol=0.0)
+    expected = []
+    for u, v in images:
+        r2 = u * u + v * v
+        expected.append((2.0 * u / (1.0 + r2), 2.0 * v / (1.0 + r2), (r2 - 1.0) / (r2 + 1.0)))
+    np.testing.assert_allclose(backs, expected, rtol=0.0, atol=1e-15)
+    plane = stereographic_project(S2Point(*points[0]))
+    assert (plane.u, plane.v) == tuple(images[0])
+    sphere = stereographic_unproject(PlanePoint(*images[0]))
+    assert (sphere.x, sphere.y, sphere.z) == tuple(backs[0])
 
 
 @pytest.mark.parametrize("count", [1, 2, 5, 8])
@@ -170,16 +249,21 @@ def test_batched_factorization_matches_the_dataclass_chain(rng, count):
     targets = unit_rows(rng, (ROWS,), 4)
     factors = factorize_s3_point(targets, count, seed=11)
     assert factors.shape == (ROWS, count, 4)
-    for target, rows in zip(targets, factors):
-        elements = [EvenElement(*row) for row in rows]
-        prefix = EvenElement.scalar(1.0)
-        for f in elements[:-1]:
-            prefix = even_product(prefix, f)
-        last = even_product(prefix.conjugate(), EvenElement(*target)).normalized()
-        np.testing.assert_allclose(rows[-1], last.coeffs, rtol=0.0, atol=1e-15)
+    # The first count - 1 factors are the documented draws: normalized Gaussians.
+    gaussians = np.random.default_rng(11).standard_normal((ROWS, count - 1, 4))
+    for target, rows, drawn in zip(targets, factors, gaussians):
+        for row, g in zip(rows, drawn):
+            np.testing.assert_allclose(row, g / math.sqrt(dot(g, g)), rtol=0.0, atol=1e-15)
+        prefix = (1.0, 0.0, 0.0, 0.0)
+        for row in rows[:-1]:
+            prefix = even_product_oracle(1, prefix, row)
+        last = even_product_oracle(1, (prefix[0], -prefix[1], -prefix[2], -prefix[3]), target)
+        norm = math.sqrt(dot(last, last))
+        np.testing.assert_allclose(rows[-1], [c / norm for c in last], rtol=0.0, atol=1e-15)
+        product = even_product_oracle(1, prefix, rows[-1])
+        np.testing.assert_allclose(product, target, rtol=0.0, atol=1e-14)
     single = factorize_s3_point(EvenElement(*targets[0]), count, seed=11)
-    one_row = factorize_s3_point(targets[:1], count, seed=11)[0]
-    assert [f.coeffs for f in single] == [tuple(row) for row in one_row]
+    assert [f.coeffs for f in single] == [tuple(row) for row in factors[0]]
 
 
 def test_batched_inputs_are_validated():
