@@ -3,8 +3,11 @@
 Angles are taken in degrees at this boundary and converted to radians
 exactly once.  Identical command lines produce byte-identical data
 files; every data file gets a sidecar ``<out>.manifest.json`` recording
-the full configuration, the package version, and the wall-clock
-duration (the only place a timestamp appears).
+the configuration, the package version, and the wall-clock duration (the
+only place a timestamp appears).  Its ``parameters`` are the parsed
+options under their argparse dest names, plus the angles in radians
+(``alpha_rad``, and ``beta_rad`` for ``simulate``); ``chsh`` records
+``n`` as 0 under ``--analytic``.
 
 Exit codes: 0 success, 1 runtime or property failure, 2 usage error.
 Every numeric input has a bounded range: ``--n`` runs from 1 to
@@ -17,6 +20,7 @@ range, and ``verify --samples`` runs from 1 to :data:`MAX_SAMPLES`.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -29,7 +33,6 @@ from .correlations import (
     chsh_value,
     joint_estimator,
     joint_expectation,
-    joint_expectations,
     quantum_reference,
     stream_summary,
 )
@@ -73,33 +76,42 @@ def _int_in_range(low: int, high=None):
     return parse
 
 
-def _estimate_row(alpha_deg, beta_deg, estimate, seed):
-    reference = quantum_reference(
-        PolarizerAngle.from_degrees(alpha_deg), PolarizerAngle.from_degrees(beta_deg)
-    )
-    byz, bzx, bxy = estimate.bivector_mean
-    return {
-        "alpha_deg": float(alpha_deg),
-        "beta_deg": float(beta_deg),
-        "scalar_mean": estimate.scalar_mean,
-        "biv_yz": byz,
-        "biv_zx": bzx,
-        "biv_xy": bxy,
-        "bivector_norm": estimate.bivector_norm,
-        "standard_error": estimate.standard_error,
-        "quantum_ref": reference,
-        "deviation": abs(estimate.scalar_mean - reference),
-        "n": estimate.trial_count,
-        "seed": seed,
-    }
+def _write_estimates(args, betas, estimates, fields=None) -> None:
+    """Write one row per beta of the estimates at ``args.alpha_deg``.
+
+    The columns are ``fields``, or every column when it is None.
+    """
+    alpha = PolarizerAngle.from_degrees(args.alpha_deg)
+    rows = []
+    for beta_deg, estimate in zip(betas, estimates):
+        reference = quantum_reference(alpha, PolarizerAngle.from_degrees(beta_deg))
+        byz, bzx, bxy = estimate.bivector_mean
+        row = {
+            "alpha_deg": float(args.alpha_deg),
+            "beta_deg": float(beta_deg),
+            "scalar_mean": estimate.scalar_mean,
+            "biv_yz": byz,
+            "biv_zx": bzx,
+            "biv_xy": bxy,
+            "bivector_norm": estimate.bivector_norm,
+            "standard_error": estimate.standard_error,
+            "quantum_ref": reference,
+            "deviation": abs(estimate.scalar_mean - reference),
+            "n": estimate.trial_count,
+            "seed": args.seed,
+        }
+        rows.append(row)
+    write_table(args.out, fields or list(rows[0]), rows, fmt=args.format)
 
 
-def _manifest(command: str, parameters: dict, out_path, started: float, **blocks) -> None:
+def _manifest(args, started: float, derived: dict, **blocks) -> None:
+    """Write the manifest of ``args.out``: the parsed options, then ``derived`` over them."""
+    parameters = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     write_manifest(
-        out_path,
+        args.out,
         {
-            "command": command,
-            "parameters": parameters,
+            "command": args.command,
+            "parameters": {**parameters, **derived},
             **blocks,
             "version": __version__,
             "duration_seconds": time.perf_counter() - started,
@@ -113,24 +125,11 @@ def cmd_simulate(args) -> int:
     alpha = PolarizerAngle.from_degrees(args.alpha_deg)
     beta = PolarizerAngle.from_degrees(args.beta_deg)
     estimate = joint_expectation(alpha, beta, args.n, args.seed, threads=args.threads)
-    row = _estimate_row(args.alpha_deg, args.beta_deg, estimate, args.seed)
-    fields = list(row)
-    write_table(args.out, fields, [row], fmt=args.format)
+    _write_estimates(args, [args.beta_deg], [estimate])
     _manifest(
-        "simulate",
-        {
-            "alpha_deg": args.alpha_deg,
-            "beta_deg": args.beta_deg,
-            "alpha_rad": alpha.radians,
-            "beta_rad": beta.radians,
-            "n": args.n,
-            "seed": args.seed,
-            "threads": args.threads,
-            "format": args.format,
-            "out": str(args.out),
-        },
-        args.out,
+        args,
         started,
+        {"alpha_rad": alpha.radians, "beta_rad": beta.radians},
         stream=stream_summary(args.n, args.threads),
     )
     print(
@@ -184,40 +183,15 @@ def _scan_betas(start: float, stop: float, step: float) -> list:
 
 
 def cmd_scan(args) -> int:
-    betas = _scan_betas(args.beta_start, args.beta_stop, args.beta_step)
+    betas = _scan_betas(args.beta_start_deg, args.beta_stop_deg, args.beta_step_deg)
     started = time.perf_counter()
     alpha = PolarizerAngle.from_degrees(args.alpha_deg)
-    estimates = joint_expectations(
-        alpha,
-        [PolarizerAngle.from_degrees(beta_deg) for beta_deg in betas],
-        args.n,
-        args.seed,
-        threads=args.threads,
-    )
-    rows = []
-    for beta_deg, estimate in zip(betas, estimates):
-        row = _estimate_row(args.alpha_deg, beta_deg, estimate, args.seed)
-        rows.append({name: row[name] for name in _SCAN_FIELDS})
-    write_table(args.out, _SCAN_FIELDS, rows, fmt=args.format)
-    _manifest(
-        "scan",
-        {
-            "alpha_deg": args.alpha_deg,
-            "alpha_rad": alpha.radians,
-            "beta_start_deg": args.beta_start,
-            "beta_stop_deg": args.beta_stop,
-            "beta_step_deg": args.beta_step,
-            "n": args.n,
-            "seed": args.seed,
-            "threads": args.threads,
-            "format": args.format,
-            "out": str(args.out),
-        },
-        args.out,
-        started,
-        stream=stream_summary(args.n, args.threads),
-    )
-    print(f"scan: {len(rows)} settings -> {args.out}")
+    estimate = joint_estimator(args.n, args.seed, threads=args.threads)
+    estimates = [estimate(alpha, PolarizerAngle.from_degrees(beta_deg)) for beta_deg in betas]
+    _write_estimates(args, betas, estimates, _SCAN_FIELDS)
+    stream = stream_summary(args.n, args.threads)
+    _manifest(args, started, {"alpha_rad": alpha.radians}, stream=stream)
+    print(f"scan: {len(betas)} settings -> {args.out}")
     return 0
 
 
@@ -279,22 +253,7 @@ def cmd_chsh(args) -> int:
         )
     if args.out:
         write_table(args.out, list(row), [row], fmt=args.format)
-        _manifest(
-            "chsh",
-            {
-                "angles_deg": list(args.angles_deg) if args.angles_deg else None,
-                "maximize": bool(args.maximize),
-                "step_deg": args.step_deg,
-                "analytic": bool(args.analytic),
-                "n": n,
-                "seed": args.seed,
-                "threads": args.threads,
-                "format": args.format,
-                "out": str(args.out),
-            },
-            args.out,
-            started,
-        )
+        _manifest(args, started, {"n": n})
     return 0
 
 
@@ -314,6 +273,7 @@ def cmd_verify(args) -> int:
     return 0 if all_passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="threesphere",
@@ -343,9 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     scan = sub.add_parser("scan", help="joint correlation across a beta range")
     scan.add_argument("--alpha-deg", type=float, required=True)
-    scan.add_argument("--beta-start", type=float, required=True, help="degrees")
-    scan.add_argument("--beta-stop", type=float, required=True, help="degrees")
-    scan.add_argument("--beta-step", type=float, required=True, help="degrees")
+    for part in ("start", "stop", "step"):
+        scan.add_argument(
+            f"--beta-{part}", dest=f"beta_{part}_deg", metavar=f"BETA_{part.upper()}",
+            type=float, required=True, help="degrees",
+        )
     common(scan, needs_out=True)
     scan.set_defaults(func=cmd_scan)
 
@@ -370,17 +332,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -49,7 +49,6 @@ __all__ = [
     "ChshSettings",
     "single_expectation",
     "joint_expectation",
-    "joint_expectations",
     "joint_estimator",
     "sign_sum_plan",
     "stream_summary",
@@ -200,22 +199,15 @@ def joint_estimator(n: int, seed: int, threads: int = 1):
     return estimate
 
 
-def joint_expectations(
-    alpha: PolarizerAngle, betas, n: int, seed: int, threads: int = 1
-) -> list:
-    """Joint estimates at ``alpha`` for every angle in ``betas``, from one sign sum."""
-    estimate = joint_estimator(n, seed, threads)
-    return [estimate(alpha, beta) for beta in betas]
-
-
 def joint_expectation(
     alpha: PolarizerAngle, beta: PolarizerAngle, n: int, seed: int, threads: int = 1
 ) -> CorrelationEstimate:
     """Average the outcome product over ``n`` shared orientation samples.
 
-    The one-angle case of :func:`joint_expectations`.
+    The one-pair case of :func:`joint_estimator`, which makes its own sign
+    sum; call that once instead to share the sum across angle pairs.
     """
-    return joint_expectations(alpha, (beta,), n, seed, threads)[0]
+    return joint_estimator(n, seed, threads)(alpha, beta)
 
 
 def quantum_reference(alpha, beta):

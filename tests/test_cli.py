@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from threesphere import correlations
+from threesphere import cli, correlations
 from threesphere.cli import MAX_SAMPLES, MAX_SCAN_ROWS, MAX_SEED, MAX_TRIALS, _scan_betas, main
 from threesphere.correlations import joint_expectation, quantum_reference
 from threesphere.protocol import PolarizerAngle
@@ -150,6 +150,87 @@ def test_unknown_arguments_exit_with_usage_error():
     assert run("nonsense") == 2
 
 
+def test_the_parser_is_built_once_and_keeps_no_state_between_calls():
+    assert cli.build_parser() is cli.build_parser()
+    assert run("chsh", "--angles-deg", 0, 1, 2, 3, "--n", 0) == 2
+    assert run("chsh", "--angles-deg", 0, 1, 2, 3, "--analytic") == 0
+
+
+def test_manifests_record_every_parsed_option(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runs = [
+        (
+            ("simulate", "--alpha-deg", 30, "--beta-deg", 22.5, "--n", 1000, "--seed", 7,
+             "--out", "sim.csv"),
+            {
+                "alpha_deg": 30.0,
+                "beta_deg": 22.5,
+                "alpha_rad": 0.5235987755982988,
+                "beta_rad": 0.39269908169872414,
+                "n": 1000,
+                "seed": 7,
+                "threads": 1,
+                "format": "csv",
+                "out": "sim.csv",
+            },
+        ),
+        (
+            ("scan", "--alpha-deg", 10, "--beta-start", 0, "--beta-stop", 90, "--beta-step", 45,
+             "--n", 500, "--threads", 2, "--format", "json", "--out", "scan.json"),
+            {
+                "alpha_deg": 10.0,
+                "alpha_rad": 0.17453292519943295,
+                "beta_start_deg": 0.0,
+                "beta_stop_deg": 90.0,
+                "beta_step_deg": 45.0,
+                "n": 500,
+                "seed": 0,
+                "threads": 2,
+                "format": "json",
+                "out": "scan.json",
+            },
+        ),
+        (
+            ("chsh", "--angles-deg", 0, -45, -22.5, 22.5, "--n", 1000, "--out", "chsh.csv"),
+            {
+                "angles_deg": [0.0, -45.0, -22.5, 22.5],
+                "maximize": False,
+                "step_deg": None,
+                "analytic": False,
+                "n": 1000,
+                "seed": 0,
+                "threads": 1,
+                "format": "csv",
+                "out": "chsh.csv",
+            },
+        ),
+        (
+            ("chsh", "--maximize", "--step-deg", 15, "--analytic", "--out", "max.csv"),
+            {
+                "angles_deg": None,
+                "maximize": True,
+                "step_deg": 15.0,
+                "analytic": True,
+                "n": 0,
+                "seed": 0,
+                "threads": 1,
+                "format": "csv",
+                "out": "max.csv",
+            },
+        ),
+    ]
+    for argv, parameters in runs:
+        assert run(*argv) == 0
+        manifest = json.loads(Path(argv[-1] + ".manifest.json").read_text())
+        assert manifest["command"] == argv[0]
+        assert manifest["parameters"] == parameters
+    capsys.readouterr()
+    assert run("scan", "--help") == 0
+    usage = capsys.readouterr().out
+    for name in ("START", "STOP", "STEP"):
+        assert f"--beta-{name.lower()} BETA_{name}" in usage
+
+
 # ---------------------------------------------------------------------------
 # scan
 # ---------------------------------------------------------------------------
@@ -161,6 +242,10 @@ def test_scan_tabulates_the_reference_values(tmp_path):
                "--n", 1000, "--seed", 5, "--out", out) == 0
     rows = read_table(out)
     assert [row["beta_deg"] for row in rows] == [0.0, 45.0, 90.0]
+    for row in rows:
+        beta = PolarizerAngle.from_degrees(row["beta_deg"])
+        estimate = joint_expectation(PolarizerAngle.from_degrees(0.0), beta, 1000, 5)
+        assert (row["biv_yz"], row["biv_zx"], row["biv_xy"]) == estimate.bivector_mean
     assert rows[0]["scalar_mean"] == 1.0
     assert abs(rows[1]["scalar_mean"]) <= 1e-12
     assert rows[2]["scalar_mean"] == -1.0
@@ -293,11 +378,15 @@ def test_chsh_maximize_at_quarter_degree_saturates_the_bound(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("--angles-deg", 0, -45, -22.5, 22.5, "--n", 100000),
-        ("--maximize", "--step-deg", 10, "--n", 1000),
+        ("chsh", "--angles-deg", 0, -45, -22.5, 22.5, "--n", 100000),
+        ("chsh", "--maximize", "--step-deg", 10, "--n", 1000),
+        ("scan", "--alpha-deg", 17, "--beta-start", 0, "--beta-stop", 180, "--beta-step", 22.5,
+         "--n", 5000, "--out", "scan.csv"),
+        ("simulate", "--alpha-deg", 17, "--beta-deg", 40, "--n", 5000, "--out", "sim.csv"),
     ],
 )
-def test_chsh_monte_carlo_makes_one_sign_sum(monkeypatch, argv):
+def test_monte_carlo_commands_make_one_sign_sum(monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
     calls = []
     summed = correlations._summed_signs
 
@@ -306,7 +395,7 @@ def test_chsh_monte_carlo_makes_one_sign_sum(monkeypatch, argv):
         return summed(*args, **kwargs)
 
     monkeypatch.setattr(correlations, "_summed_signs", counted)
-    assert run("chsh", *argv, "--seed", 5) == 0
+    assert run(*argv, "--seed", 5) == 0
     assert len(calls) == 1
 
 

@@ -13,7 +13,6 @@ from threesphere.correlations import (
     chsh_value,
     joint_estimator,
     joint_expectation,
-    joint_expectations,
     quantum_reference,
     sign_sum_plan,
     single_expectation,
@@ -147,19 +146,6 @@ def test_joint_sharding_is_bit_identical():
     single = joint_expectation(alpha, beta, 10**5, seed=9, threads=1)
     for threads in (2, 3, 7, 16):
         assert joint_expectation(alpha, beta, 10**5, seed=9, threads=threads) == single
-
-
-def test_joint_expectations_share_one_sign_sum(monkeypatch):
-    alpha = deg(17.0)
-    betas = [deg(b) for b in (0.0, 22.5, 45.0, 100.0, 179.0)]
-    expected = [joint_expectation(alpha, beta, 5000, seed=4) for beta in betas]
-    calls = []
-    summed = correlations._summed_signs
-    monkeypatch.setattr(
-        correlations, "_summed_signs", lambda *args: calls.append(args) or summed(*args)
-    )
-    assert joint_expectations(alpha, betas, 5000, seed=4) == expected
-    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
