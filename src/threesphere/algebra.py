@@ -24,6 +24,9 @@ or ``(..., 3)`` coefficient rows, with the orientation as +1/-1 row signs:
 the full products contract through a signed ``(8, 8, 8)`` Cayley tensor,
 the even ones apply one column formula.  A dataclass argument, with a
 :class:`Handedness`, is the one-row case and returns a dataclass.
+Products are only the functions :func:`geometric_product`, :func:`wedge`
+and :func:`even_product`: a :class:`Multivector` supports ``+``, ``-``
+and scaling, and :class:`EvenElement` and :class:`Handedness` negation.
 """
 
 from __future__ import annotations
@@ -124,23 +127,12 @@ class Multivector:
     def __sub__(self, other: "Multivector") -> "Multivector":
         return Multivector(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __neg__(self) -> "Multivector":
-        return Multivector(tuple(-a for a in self.coeffs))
-
     def __mul__(self, other):
-        if isinstance(other, Multivector):
-            return geometric_product(self, other)
         if isinstance(other, (int, float)):
             return Multivector(tuple(a * other for a in self.coeffs))
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return Multivector(tuple(other * a for a in self.coeffs))
-        return NotImplemented
-
-    def __xor__(self, other: "Multivector") -> "Multivector":
-        return wedge(self, other)
+    __rmul__ = __mul__
 
     def __str__(self) -> str:
         terms = [
@@ -213,9 +205,6 @@ class Vector3:
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
         return Vector3(self.x / n, self.y / n, self.z / n)
-
-    def __neg__(self) -> "Vector3":
-        return Vector3(-self.x, -self.y, -self.z)
 
     def as_multivector(self) -> Multivector:
         return Multivector.vector(self.x, self.y, self.z)
@@ -310,26 +299,8 @@ class EvenElement:
             raise ValueError("cannot normalize the zero element")
         return EvenElement(self.s / n, self.b_yz / n, self.b_zx / n, self.b_xy / n)
 
-    def __add__(self, other: "EvenElement") -> "EvenElement":
-        return EvenElement(*(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "EvenElement") -> "EvenElement":
-        return EvenElement(*(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __neg__(self) -> "EvenElement":
         return EvenElement(-self.s, -self.b_yz, -self.b_zx, -self.b_xy)
-
-    def __mul__(self, other):
-        if isinstance(other, EvenElement):
-            return even_product(self, other)
-        if isinstance(other, (int, float)):
-            return EvenElement(self.s * other, self.b_yz * other, self.b_zx * other, self.b_xy * other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return self.__mul__(other)
-        return NotImplemented
 
 
 def _signs(handedness):

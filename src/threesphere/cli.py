@@ -156,8 +156,8 @@ _SCAN_FIELDS = [
 def _scan_betas(start: float, stop: float, step: float) -> list:
     """The angles ``start + k*step``, ``k = 0, 1, ...``, up to ``stop + 1e-9*step``.
 
-    The row count is worked out before any row is built, so a range that
-    would give more than :data:`MAX_SCAN_ROWS` rows is refused up front.
+    Rows are built up to ``k = MAX_SCAN_ROWS`` and end at the first angle
+    above that limit; a range that reaches ``k = MAX_SCAN_ROWS`` is refused.
     """
     if not all(math.isfinite(value) for value in (start, stop, step)):
         raise UsageError("--beta-start, --beta-stop and --beta-step must be finite")
@@ -166,20 +166,13 @@ def _scan_betas(start: float, stop: float, step: float) -> list:
     if stop < start:
         raise UsageError("--beta-stop must not be below --beta-start")
     limit = stop + 1e-9 * step
-    too_many = f"--beta-step {step:g} gives more than {MAX_SCAN_ROWS} rows"
-    last = (limit - start) / step  # the last k, up to rounding; inf on overflow
-    if not last < MAX_SCAN_ROWS:
-        raise UsageError(too_many)
-    last = int(last)
-    # Settle the rounding with the exact inclusion test, which holds for a
-    # prefix of k since start + k*step does not decrease with k.
-    while start + last * step > limit:
-        last -= 1
-    while last < MAX_SCAN_ROWS and start + (last + 1) * step <= limit:
-        last += 1
-    if last >= MAX_SCAN_ROWS:
-        raise UsageError(too_many)
-    return [start + k * step for k in range(last + 1)]
+    betas = []
+    for k in range(MAX_SCAN_ROWS + 1):
+        beta = start + k * step
+        if beta > limit:
+            return betas
+        betas.append(beta)
+    raise UsageError(f"--beta-step {step:g} gives more than {MAX_SCAN_ROWS} rows")
 
 
 def cmd_scan(args) -> int:

@@ -63,27 +63,28 @@ class CorrelationEstimate:
     """Componentwise Monte Carlo average of even-element outcomes.
 
     The scalar and bivector channels are reported separately and never
-    re-normalized; ``standard_error`` is the 1/sqrt(n) envelope of the
-    +1/-1 sign population that drives the bivector channel (the scalar
-    channel is per-trial constant, hence exact).  Each channel is a float
-    for one angle pair, or an array for a batch of pairs.
+    re-normalized; ``standard_error`` is ``1/sqrt(trial_count)``, the
+    envelope of the +1/-1 sign population that drives the bivector channel
+    (the scalar channel is per-trial constant, hence exact).  Each channel
+    is a float for one angle pair, or an array for a batch of pairs.
     """
 
     scalar_mean: float
     bivector_mean: tuple
     trial_count: int
-    standard_error: float
 
     def __post_init__(self):
         if self.trial_count < 1:
             raise ValueError(f"trial_count must be at least 1, got {self.trial_count}")
-        if self.standard_error < 0.0:
-            raise ValueError("standard_error must be non-negative")
         mean = tuple(map(_channel, self.bivector_mean))
         if len(mean) != 3:
             raise ValueError("bivector_mean needs exactly 3 components")
         object.__setattr__(self, "scalar_mean", _channel(self.scalar_mean))
         object.__setattr__(self, "bivector_mean", mean)
+
+    @property
+    def standard_error(self) -> float:
+        return 1.0 / math.sqrt(self.trial_count)
 
     @property
     def bivector_norm(self):
@@ -172,7 +173,6 @@ def single_expectation(
         scalar_mean=0.0,
         bivector_mean=(mean_sign * axis.x, mean_sign * axis.y, mean_sign * axis.z),
         trial_count=n,
-        standard_error=1.0 / math.sqrt(n),
     )
 
 
@@ -193,7 +193,6 @@ def joint_estimator(n: int, seed: int, threads: int = 1):
             scalar_mean=np.cos(d),
             bivector_mean=(0.0, 0.0, mean_sign * np.sin(d)),
             trial_count=n,
-            standard_error=1.0 / math.sqrt(n),
         )
 
     return estimate

@@ -102,6 +102,12 @@ def test_orthogonal_vectors_multiply_to_their_bivector():
     assert geometric_product(E_Z, E_X) == E_ZX
 
 
+def test_star_scales_a_multivector_but_is_not_a_product():
+    with pytest.raises(TypeError):
+        E_X * E_Y
+    assert 2 * E_X == E_X * 2 == Multivector.vector(2.0, 0.0, 0.0)
+
+
 def test_volume_element_squares_to_minus_one():
     expected = Multivector.scalar(-1.0)
     assert geometric_product(PSEUDOSCALAR, PSEUDOSCALAR) == expected
@@ -318,6 +324,8 @@ def test_zero_element_has_no_inverse():
         EvenElement.scalar(0.0).inverse()
     with pytest.raises(ValueError):
         EvenElement.scalar(0.0).normalized()
+    with pytest.raises(ValueError):
+        Vector3(0.0, 0.0, 0.0).normalized()
 
 
 def test_oriented_product_reduces_to_canonical_for_right_handed():

@@ -128,6 +128,22 @@ def test_seeds_outside_the_uint64_range_are_usage_errors(tmp_path, capsys):
                "--out", out) == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--alpha-deg", 0, "--beta-deg", 0, "--out", "x.csv", "--n", "1.5"),
+        ("simulate", "--alpha-deg", 0, "--beta-deg", 0, "--out", "x.csv", "--seed", "7x"),
+        ("verify", "protocol", "--samples", "1e3"),
+    ],
+)
+def test_non_integer_counts_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 2
+    option, text = argv[-2:]
+    assert f"argument {option}: invalid int value: {text!r}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_simulate_manifest_records_the_stream_plan(tmp_path):
     out = tmp_path / "sim.csv"
     assert run("simulate", "--alpha-deg", 0, "--beta-deg", 30, "--n", 200000, "--seed", 2,

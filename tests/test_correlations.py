@@ -54,8 +54,10 @@ def test_single_estimate_recomputes_from_the_sign_sequence():
     axis = (math.sin(math.pi / 4.0), math.cos(math.pi / 4.0), 0.0)
     expected = tuple(mean_sign * c for c in axis)
     assert max(abs(a - b) for a, b in zip(estimate.bivector_mean, expected)) <= 1e-15
-    assert estimate.trial_count == n
-    assert estimate.standard_error == 1.0 / math.sqrt(n)
+    joint = joint_expectation(theta, PolarizerAngle(0.0), n, seed=8)
+    for one in (estimate, joint):
+        assert one.trial_count == n
+        assert one.standard_error == 1.0 / math.sqrt(n)
 
 
 def test_single_estimate_cancels_for_a_balanced_pair():
@@ -217,11 +219,12 @@ def test_joint_rejects_zero_trials():
 
 def test_estimate_validation():
     with pytest.raises(ValueError):
-        CorrelationEstimate(0.0, (0.0, 0.0, 0.0), 0, 0.1)
+        CorrelationEstimate(0.0, (0.0, 0.0, 0.0), 0)
     with pytest.raises(ValueError):
-        CorrelationEstimate(0.0, (0.0, 0.0, 0.0), 1, -0.1)
-    with pytest.raises(ValueError):
-        CorrelationEstimate(0.0, (0.0, 0.0), 1, 0.1)
+        CorrelationEstimate(0.0, (0.0, 0.0), 1)
+    with pytest.raises(TypeError):  # derived from trial_count, never stored
+        CorrelationEstimate(0.0, (0.0, 0.0, 0.0), 4, 0.5)
+    assert CorrelationEstimate(0.0, (0.0, 0.0, 0.0), 4).standard_error == 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,19 @@ def test_wrong_unproject_formula_fails_the_round_trip_check(monkeypatch):
     assert main(["verify", "topology", "--samples", "200"]) == 1
 
 
+def test_accepted_north_pole_fails_the_pole_check(monkeypatch, capsys):
+    project = suites.stereographic_project
+
+    def accepting(p):  # the suite passes the pole alone, as one S2Point
+        return PlanePoint(0.0, 0.0) if isinstance(p, S2Point) else project(p)
+
+    monkeypatch.setattr(suites, "stereographic_project", accepting)
+    assert failing() == {"north pole is rejected by the projection"}
+    assert main(["verify", "topology", "--samples", "200"]) == 1
+    line = "[topology] north pole is rejected by the projection: max residual 1.000e+00 (tol 0.0e+00) FAIL"
+    assert line in capsys.readouterr().out.splitlines()
+
+
 # ---------------------------------------------------------------------------
 # Blocks
 # ---------------------------------------------------------------------------
@@ -342,9 +355,9 @@ def test_algebra_suite_memory_is_flat_in_the_sample_count():
     try:
         # A first traced run fills the interpreter's bounded free lists, which
         # tracemalloc counts as allocated, so both measured runs start alike.
-        suites.algebra_suite(samples=3 * 10**5, seed=2)
+        suites.algebra_suite(samples=2 * 10**4, seed=2)
         peaks = []
-        for samples in (10**4, 10**5):
+        for samples in (4096, 2 * 10**4):
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             suites.algebra_suite(samples=samples, seed=1)

@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from threesphere.tables import format_value, manifest_path, read_table, write_manifest, write_table
 
 AWKWARD = [1.0 / 3.0, math.pi, 6.123233995736766e-17, -1.0, 0.0, 2.0**-1074, 1e300]
@@ -47,6 +49,13 @@ def test_rewriting_is_byte_identical(tmp_path):
     write_table(first, ["x", "n", "seed"], rows)
     write_table(second, ["x", "n", "seed"], rows)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_unknown_formats_are_refused(tmp_path):
+    path = tmp_path / "t.xml"
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        write_table(path, ["n"], [{"n": 1}], fmt="xml")
+    assert not path.exists()
 
 
 def test_manifest_sits_next_to_the_data(tmp_path):
