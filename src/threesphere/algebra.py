@@ -320,8 +320,11 @@ def _columns(rows) -> tuple:
 
 
 def _rows(columns) -> np.ndarray:
-    """Coefficient columns stacked back into rows; constant columns broadcast."""
-    return np.stack(np.broadcast_arrays(*columns), axis=-1)
+    """Coefficient columns written side by side into rows; constant columns broadcast."""
+    rows = np.empty(np.broadcast(*columns).shape + (len(columns),))
+    for i, column in enumerate(columns):
+        rows[..., i] = column
+    return rows
 
 
 def _gap(lhs, rhs) -> float:

@@ -49,7 +49,7 @@ MAX_TRIALS = 10**11
 # Most rows one scan may produce; every row is held in memory before writing.
 MAX_SCAN_ROWS = 100_000
 
-# Largest verify --samples; about 2 minutes at the measured 10 us per sample.
+# Largest verify --samples; about 1.5 minutes at the measured 8 us per sample.
 MAX_SAMPLES = 10**7
 
 # Largest --seed: the orientation stream reads the seed as one uint64.

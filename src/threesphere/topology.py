@@ -89,10 +89,11 @@ def is_equatorial(q: EvenElement, tol: float = 1e-12) -> bool:
 def _random_unit_rows(rng: np.random.Generator, width: int, *shape: int) -> np.ndarray:
     """Uniform points of the unit sphere in ``width`` dimensions as ``shape + (width,)`` rows."""
     rows = rng.standard_normal(shape + (width,))
-    return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+    rows /= np.sqrt(np.sum(rows * rows, axis=-1, keepdims=True))
+    return rows
 
 
-def factorize_s3_point(target, count: int, seed: int):
+def factorize_s3_point(target, count, seed: int):
     """Split a 3-sphere point into ``count`` unit factors that multiply back to it.
 
     The first ``count - 1`` factors are drawn uniformly on the 3-sphere
@@ -101,8 +102,18 @@ def factorize_s3_point(target, count: int, seed: int):
     target.  Every factor is unit and the ordered product reproduces the
     target up to rounding.  An :class:`EvenElement` target gives a list
     of factors; ``(N, 4)`` target rows give ``(N, count, 4)`` factor rows.
+
+    For rows, ``count`` may also be an ``(N,)`` integer array of per-row
+    counts.  The result is then ``(N, max(count), 4)``: one draw fills
+    every slot before the last, a row's unused slots hold the exact
+    identity ``(1, 0, 0, 0)``, and its last factor sits at slot
+    ``count - 1``, so the ordered product over all slots is still the
+    target.  Equal counts give the same factors as the int count.
     """
-    if count < 1:
+    counts = np.asarray(count)
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"factor counts must be integers, got {count!r}")
+    if np.any(counts < 1):
         raise ValueError(f"factor count must be at least 1, got {count}")
     if isinstance(target, EvenElement):
         rows = factorize_s3_point(np.array([target.coeffs]), count, seed)[0]
@@ -110,16 +121,25 @@ def factorize_s3_point(target, count: int, seed: int):
     targets = np.asarray(target, dtype=float)
     if not np.all(np.abs(np.sum(targets * targets, axis=-1) - 1.0) <= 1e-9):
         raise ValueError("target must lie on the unit 3-sphere (within 1e-9)")
-    if count == 1:
+    if counts.ndim and counts.shape != targets.shape[:1]:
+        raise ValueError(f"need one factor count per target row, got shape {counts.shape}")
+    width = int(counts.max(initial=1)) - 1
+    counts = np.broadcast_to(counts, targets.shape[:1])
+    if width == 0:
         return targets[:, None, :].copy()
     rng = np.random.default_rng(seed)
-    drawn = _random_unit_rows(rng, 4, len(targets), count - 1)
-    prefix = drawn[:, 0]
-    for k in range(1, count - 1):
-        prefix = even_product(prefix, drawn[:, k])
+    # The draw is padded by one slot rather than written into a buffer made
+    # first, so its temporaries and the factors are never alive together.
+    padding = np.empty((len(targets), 1, 4))
+    factors = np.concatenate([_random_unit_rows(rng, 4, len(targets), width), padding], axis=1)
+    factors[np.arange(width + 1) >= counts[:, None] - 1] = (1.0, 0.0, 0.0, 0.0)
+    prefix = factors[:, 0]
+    for k in range(1, width):
+        prefix = even_product(prefix, factors[:, k])
     last = even_product(prefix * np.array([1.0, -1.0, -1.0, -1.0]), targets)
     last /= np.linalg.norm(last, axis=1, keepdims=True)
-    return np.concatenate([drawn, last[:, None, :]], axis=1)
+    factors[np.arange(len(targets)), counts - 1] = last
+    return factors
 
 
 def s2_nonclosure_witness(a, b):

@@ -266,6 +266,42 @@ def test_batched_factorization_matches_the_dataclass_chain(rng, count):
     assert [f.coeffs for f in single] == [tuple(row) for row in factors[0]]
 
 
+@pytest.mark.parametrize("count", [1, 2, 5, 8])
+def test_equal_factor_counts_reproduce_the_int_count(rng, count):
+    targets = unit_rows(rng, (ROWS,), 4)
+    expected = factorize_s3_point(targets, count, seed=11)
+    for counts in (np.full(ROWS, count), np.full(ROWS, count, dtype=np.uint8)):
+        factors = factorize_s3_point(targets, counts, seed=11)
+        assert factors.shape == expected.shape
+        assert factors.tobytes() == expected.tobytes()
+
+
+def test_mixed_factor_counts_pad_with_the_exact_identity(rng):
+    targets = unit_rows(rng, (ROWS,), 4)
+    counts = rng.integers(1, 9, size=ROWS)
+    counts[:2] = 1, 8
+    factors = factorize_s3_point(targets, counts, seed=11)
+    assert factors.shape == (ROWS, 8, 4)
+    for target, count, rows in zip(targets, counts, factors):
+        assert np.all(rows[count:] == (1.0, 0.0, 0.0, 0.0)), count
+        for row in rows:
+            assert abs(dot(row, row) - 1.0) <= 1e-14
+        product = (1.0, 0.0, 0.0, 0.0)
+        for row in rows[:count]:
+            product = even_product_oracle(1, product, row)
+        np.testing.assert_allclose(product, target, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [[0, 2, 3], [2, -1, 3], [1.0, 2.0, 3.0], [1.5, 2, 3], [True, True, True], [2, 3], [[2, 3, 4]]],
+    ids=["zero", "negative", "float", "fraction", "bool", "short", "2d"],
+)
+def test_factor_counts_are_validated(rng, counts):
+    with pytest.raises(ValueError):
+        factorize_s3_point(unit_rows(rng, (3,), 4), np.array(counts), seed=0)
+
+
 def test_batched_inputs_are_validated():
     with pytest.raises(ValueError):
         alice_outcome(np.array([0.0, math.nan]), np.array([1.0, 1.0]))
@@ -330,6 +366,20 @@ def test_accepted_north_pole_fails_the_pole_check(monkeypatch, capsys):
     assert line in capsys.readouterr().out.splitlines()
 
 
+def test_left_handed_chain_fails_the_factorization_check(monkeypatch, capsys):
+    def flipped(lhs, rhs):
+        return algebra.oriented_even_product(LEFT_HANDED, lhs, rhs)
+
+    monkeypatch.setattr(suites, "even_product", flipped)
+    failed = {check.name for check in suites.topology_suite(200) if not check.passed}
+    assert failed == {"factors multiply back to the target"}
+    assert main(["verify", "topology", "--samples", "200"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    line = next(line for line in lines if "factors multiply back" in line)
+    assert line.startswith("[topology] factors multiply back to the target: max residual ")
+    assert line.endswith(" (tol 1.0e-09) FAIL")
+
+
 # ---------------------------------------------------------------------------
 # Blocks
 # ---------------------------------------------------------------------------
@@ -350,19 +400,29 @@ def test_suites_refuse_an_empty_sample():
             suite(samples=0)
 
 
-def test_algebra_suite_memory_is_flat_in_the_sample_count():
+def peaks_at_one_and_ten_blocks(suite):
+    """tracemalloc peaks of ``suite`` at one block of samples and at ten."""
     tracemalloc.start()
     try:
         # A first traced run fills the interpreter's bounded free lists, which
         # tracemalloc counts as allocated, so both measured runs start alike.
-        suites.algebra_suite(samples=2 * 10**4, seed=2)
+        suite(samples=10 * suites.BLOCK, seed=2)
         peaks = []
-        for samples in (4096, 2 * 10**4):
+        for blocks in (1, 10):
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            suites.algebra_suite(samples=samples, seed=1)
+            suite(samples=blocks * suites.BLOCK, seed=1)
             peaks.append(tracemalloc.get_traced_memory()[1] - before)
     finally:
         tracemalloc.stop()
-    small, large = peaks
+    return peaks
+
+
+def test_algebra_suite_memory_is_flat_in_the_sample_count():
+    small, large = peaks = peaks_at_one_and_ten_blocks(suites.algebra_suite)
+    assert large <= 1.1 * small, peaks
+
+
+def test_topology_suite_memory_is_flat_in_the_sample_count():
+    small, large = peaks = peaks_at_one_and_ten_blocks(suites.topology_suite)
     assert large <= 1.1 * small, peaks
