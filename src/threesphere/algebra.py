@@ -25,8 +25,8 @@ the full products contract through a signed ``(8, 8, 8)`` Cayley tensor,
 the even ones apply one column formula.  A dataclass argument, with a
 :class:`Handedness`, is the one-row case and returns a dataclass.
 Products are only the functions :func:`geometric_product`, :func:`wedge`
-and :func:`even_product`: a :class:`Multivector` supports ``+``, ``-``
-and scaling, and :class:`EvenElement` and :class:`Handedness` negation.
+and :func:`even_product`: a :class:`Multivector` supports ``+`` and
+scaling; :class:`EvenElement` supports negation.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ __all__ = [
     "PSEUDOSCALAR",
     "geometric_product",
     "wedge",
-    "grade_projection",
     "dual_bivector",
     "even_product",
     "oriented_even_product",
@@ -67,7 +66,6 @@ _BLADE_NAMES = ("1", "e_x", "e_y", "e_z", "e_yz", "e_zx", "e_xy", "e_xyz")
 # is minus the canonical e_x^e_z.
 _BASIS_MASKS = (0b000, 0b001, 0b010, 0b100, 0b110, 0b101, 0b011, 0b111)
 _BASIS_SIGNS = (1, 1, 1, 1, 1, -1, 1, 1)
-_GRADES = (0, 1, 1, 1, 2, 2, 2, 3)
 
 
 def _reordering_sign(lhs_mask: int, rhs_mask: int) -> int:
@@ -113,19 +111,8 @@ class Multivector:
             raise ValueError("a multivector needs exactly 8 coefficients")
         object.__setattr__(self, "coeffs", coeffs)
 
-    @classmethod
-    def scalar(cls, value: float) -> "Multivector":
-        return cls((value, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-
-    @classmethod
-    def vector(cls, x: float, y: float, z: float) -> "Multivector":
-        return cls((0.0, x, y, z, 0.0, 0.0, 0.0, 0.0))
-
     def __add__(self, other: "Multivector") -> "Multivector":
         return Multivector(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Multivector") -> "Multivector":
-        return Multivector(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
@@ -165,13 +152,6 @@ def wedge(lhs, rhs):
     return _bilinear(_WEDGE_TENSOR, lhs, rhs)
 
 
-def grade_projection(m: Multivector, k: int) -> Multivector:
-    """Grade-``k`` part of ``m``; the four parts sum back to ``m`` exactly."""
-    if k not in (0, 1, 2, 3):
-        raise ValueError(f"grade index must be 0..3, got {k!r}")
-    return Multivector(tuple(c if g == k else 0.0 for c, g in zip(m.coeffs, _GRADES)))
-
-
 def _basis(i: int) -> Multivector:
     return Multivector(tuple(1.0 if j == i else 0.0 for j in range(8)))
 
@@ -194,27 +174,12 @@ class Vector3:
     y: float
     z: float
 
-    def dot(self, other: "Vector3") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def norm(self) -> float:
-        return math.sqrt(self.dot(self))
-
-    def normalized(self) -> "Vector3":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return Vector3(self.x / n, self.y / n, self.z / n)
-
-    def as_multivector(self) -> Multivector:
-        return Multivector.vector(self.x, self.y, self.z)
-
 
 @dataclass(frozen=True)
 class Handedness:
     """Orientation of the volume element: +1 right-handed, -1 left-handed.
 
-    Negation is an involution; only the two values exist.
+    Only the two values exist.
     """
 
     sign: int
@@ -222,13 +187,6 @@ class Handedness:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ValueError(f"handedness sign must be +1 or -1, got {self.sign!r}")
-
-    def __neg__(self) -> "Handedness":
-        return Handedness(-self.sign)
-
-    def as_multivector(self) -> Multivector:
-        """The signed unit volume element this orientation stands for."""
-        return Multivector((0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, float(self.sign)))
 
 
 RIGHT_HANDED = Handedness(1)
@@ -254,22 +212,6 @@ class EvenElement:
         object.__setattr__(self, "b_zx", float(self.b_zx))
         object.__setattr__(self, "b_xy", float(self.b_xy))
 
-    @classmethod
-    def scalar(cls, value: float) -> "EvenElement":
-        return cls(value, 0.0, 0.0, 0.0)
-
-    @classmethod
-    def from_multivector(cls, m: Multivector, atol: float = 1e-12) -> "EvenElement":
-        """Read an even element back out of the full algebra.
-
-        Rejects input whose vector or trivector coefficients exceed
-        ``atol``; embedding and reading back is the identity.
-        """
-        odd = max(abs(m.coeffs[i]) for i in (1, 2, 3, 7))
-        if odd > atol:
-            raise ValueError(f"multivector has odd-grade content {odd:g} beyond {atol:g}")
-        return cls(m.coeffs[0], m.coeffs[4], m.coeffs[5], m.coeffs[6])
-
     def embed(self) -> Multivector:
         return Multivector((self.s, 0.0, 0.0, 0.0, self.b_yz, self.b_zx, self.b_xy, 0.0))
 
@@ -282,22 +224,6 @@ class EvenElement:
 
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())
-
-    def conjugate(self) -> "EvenElement":
-        """Reversion: negates the bivector part, inverts unit elements."""
-        return EvenElement(self.s, -self.b_yz, -self.b_zx, -self.b_xy)
-
-    def inverse(self) -> "EvenElement":
-        ns = self.norm_squared()
-        if ns == 0.0:
-            raise ValueError("the zero element has no inverse")
-        return EvenElement(self.s / ns, -self.b_yz / ns, -self.b_zx / ns, -self.b_xy / ns)
-
-    def normalized(self) -> "EvenElement":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero element")
-        return EvenElement(self.s / n, self.b_yz / n, self.b_zx / n, self.b_xy / n)
 
     def __neg__(self) -> "EvenElement":
         return EvenElement(-self.s, -self.b_yz, -self.b_zx, -self.b_xy)

@@ -76,10 +76,10 @@ def _int_in_range(low: int, high=None):
     return parse
 
 
-def _write_estimates(args, betas, estimates, fields=None) -> None:
+def _write_estimates(args, betas, estimates, omit=()) -> None:
     """Write one row per beta of the estimates at ``args.alpha_deg``.
 
-    The columns are ``fields``, or every column when it is None.
+    The columns are every column of the row except those in ``omit``.
     """
     alpha = PolarizerAngle.from_degrees(args.alpha_deg)
     rows = []
@@ -101,7 +101,8 @@ def _write_estimates(args, betas, estimates, fields=None) -> None:
             "seed": args.seed,
         }
         rows.append(row)
-    write_table(args.out, fields or list(rows[0]), rows, fmt=args.format)
+    fields = [field for field in rows[0] if field not in omit]
+    write_table(args.out, fields, rows, fmt=args.format)
 
 
 def _manifest(args, started: float, derived: dict, **blocks) -> None:
@@ -139,20 +140,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-_SCAN_FIELDS = [
-    "beta_deg",
-    "scalar_mean",
-    "biv_yz",
-    "biv_zx",
-    "biv_xy",
-    "bivector_norm",
-    "quantum_ref",
-    "deviation",
-    "n",
-    "seed",
-]
-
-
 def _scan_betas(start: float, stop: float, step: float) -> list:
     """The angles ``start + k*step``, ``k = 0, 1, ...``, up to ``stop + 1e-9*step``.
 
@@ -181,7 +168,7 @@ def cmd_scan(args) -> int:
     alpha = PolarizerAngle.from_degrees(args.alpha_deg)
     estimate = joint_estimator(args.n, args.seed, threads=args.threads)
     estimates = [estimate(alpha, PolarizerAngle.from_degrees(beta_deg)) for beta_deg in betas]
-    _write_estimates(args, betas, estimates, _SCAN_FIELDS)
+    _write_estimates(args, betas, estimates, omit=("alpha_deg", "standard_error"))
     stream = stream_summary(args.n, args.threads)
     _manifest(args, started, {"alpha_rad": alpha.radians}, stream=stream)
     print(f"scan: {len(betas)} settings -> {args.out}")

@@ -62,11 +62,11 @@ __all__ = [
 class CorrelationEstimate:
     """Componentwise Monte Carlo average of even-element outcomes.
 
-    The scalar and bivector channels are reported separately and never
-    re-normalized; ``standard_error`` is ``1/sqrt(trial_count)``, the
-    envelope of the +1/-1 sign population that drives the bivector channel
-    (the scalar channel is per-trial constant, hence exact).  Each channel
-    is a float for one angle pair, or an array for a batch of pairs.
+    The scalar channel is ``cos 2(alpha-beta)`` by construction, hence exact;
+    ``chsh --n`` reads only it, so its value is ``--analytic``'s to the bit; no
+    ``chsh`` output column shows the sign sum.  The bivector channel is the
+    mean +1/-1 sign times ``sin 2(alpha-beta)``; ``standard_error`` is its
+    envelope ``1/sqrt(trial_count)``.  Each channel is a float or an array.
     """
 
     scalar_mean: float
@@ -179,11 +179,11 @@ def single_expectation(
 def joint_estimator(n: int, seed: int, threads: int = 1):
     """Joint estimates over ``n`` shared orientation samples, as a function of two angles.
 
-    The sign sum is computed once, here, for every angle pair.  The scalar
-    mean is ``cos 2(alpha-beta)`` at every seed and ``n`` and does not read
-    the sum; the bivector mean is the mean sign times ``sin 2(alpha-beta)``.
-    The angles are two :class:`PolarizerAngle` or two radian arrays, which
-    give one estimate whose channels are arrays.
+    The sign sum is computed once, here, for every angle pair; only the
+    bivector mean, the mean sign times ``sin 2(alpha-beta)``, reads it.  The
+    scalar mean is ``cos 2(alpha-beta)`` at every seed and ``n``, and is all
+    that ``chsh --n`` reads.  The angles are two :class:`PolarizerAngle` or
+    two radian arrays, which give one estimate whose channels are arrays.
     """
     mean_sign = _mean_sign(n, seed, threads)
 
@@ -232,10 +232,13 @@ def chsh_value(settings: ChshSettings, correlation) -> float:
 # Finest supported grid.  With the analytic correlation on a 2-vCPU x86-64
 # host (numpy 2.4), the shift search took 0.03-0.06 s at m = 1024 grid points
 # and 0.7-1.25 s at m = 4096, with a tracemalloc peak of 403 MB: the matrix
-# and its two (m, m) buffers.  The exhaustive scan stays O(m**3): 0.83-0.86 s
-# at m = 512 and 7.7-13 s at m = 1024, so about 8 to 14 minutes at m = 4096,
-# which was not run.
+# and its two (m, m) buffers.
 _MAX_GRID = 4096
+
+# Finest grid the exhaustive O(m**3) scan accepts.  On the same host it took
+# 0.75 s at m = 512, 1.75 s at m = 724 and 5.3 s at m = 1024; a grid of
+# 4,082 points would run for minutes.
+_MAX_EXHAUSTIVE = 1024
 
 # Largest |M[i, j] - M[(i - j) % m, 0]| at which the search treats the
 # correlation matrix M as circulant.  Each of the four terms of the settings
@@ -287,6 +290,16 @@ def _column_search(matrix, columns, plus, minus) -> tuple:
     return best
 
 
+def _exhaustive(m: int) -> range:
+    """All ``m`` ``b'`` columns, for the exhaustive scan; refused above :data:`_MAX_EXHAUSTIVE`."""
+    if m > _MAX_EXHAUSTIVE:
+        raise ValueError(
+            f"a grid of {m} points needs the exhaustive scan, "
+            f"which takes at most {_MAX_EXHAUSTIVE} grid points"
+        )
+    return range(m)
+
+
 def chsh_maximize(resolution: float, correlation) -> tuple:
     """CHSH maximum over all angle quadruples on a ``[0, pi)`` grid.
 
@@ -302,6 +315,8 @@ def chsh_maximize(resolution: float, correlation) -> tuple:
       then keeps the value, so fixing ``b' = 0`` loses no maximum.
     * Exhaustive scan, ``O(m**3)``: every other matrix, such as an
       asymmetric correlation or a step that does not divide the half turn.
+      A :class:`ValueError` refuses it above :data:`_MAX_EXHAUSTIVE` grid
+      points, before the matrix is built when the grid does not wrap.
 
     Both find the largest value, the shift search to within
     ``8 * _SHIFT_TOLERANCE``; on ties they may pick different settings.
@@ -317,12 +332,14 @@ def chsh_maximize(resolution: float, correlation) -> tuple:
             "the finest supported grid"
         )
     m = max(math.ceil(points), 1)
+    wraps = abs(m * resolution - math.pi) <= 1e-9 * math.pi
+    columns = None if wraps else _exhaustive(m)  # refused before the matrix is built
     thetas = np.arange(m) * resolution
     matrix = np.asarray(correlation(thetas[:, None], thetas[None, :]), dtype=float)
     matrix = np.broadcast_to(matrix, (m, m))
     plus, minus = np.empty((m, m)), np.empty((m, m))
-    wraps = abs(m * resolution - math.pi) <= 1e-9 * math.pi
-    columns = range(1) if wraps and _circulant(matrix, plus) else range(m)
+    if columns is None:
+        columns = range(1) if _circulant(matrix, plus) else _exhaustive(m)
     ia, iap, ib, ibp = _column_search(matrix, columns, plus, minus)
     settings = ChshSettings(*(PolarizerAngle(thetas[i]) for i in (ia, iap, ib, ibp)))
     value = abs(matrix[ia, ib] + matrix[ia, ibp] + matrix[iap, ib] - matrix[iap, ibp])

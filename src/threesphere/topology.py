@@ -145,9 +145,9 @@ def factorize_s3_point(target, count, seed: int):
 def s2_nonclosure_witness(a, b):
     """Product of the two equatorial points dual to ``a`` and ``b``.
 
-    Its scalar part equals ``-a.dot(b)``, so whenever the directions are
-    not orthogonal the product has left the equator: the 2-sphere is not
-    closed under multiplication, while the ambient 3-sphere is.
+    Its scalar part is minus the dot product of ``a`` and ``b``, so whenever
+    they are not orthogonal the product has left the equator: the 2-sphere is
+    not closed under multiplication, while the ambient 3-sphere is.
     """
     return even_product(dual_bivector(RIGHT_HANDED, a), dual_bivector(RIGHT_HANDED, b))
 

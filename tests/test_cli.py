@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -346,6 +347,28 @@ def test_scan_manifest_records_one_stream_for_all_rows(tmp_path):
     assert manifest["stream"] == {"shards": 1, "chunk_size": 65536, "chunks": 2}
 
 
+def readme_column_lists():
+    """The ``simulate`` and ``scan`` column lists under the README's "Output format"."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Output format\n", 1)[1].split("\n#", 1)[0]
+    lists = re.findall(r"`([a-z_]+(?:,\s+[a-z_]+)+)`", section)
+    return [re.split(r",\s+", text) for text in lists]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_and_scan_columns_follow_the_readme(tmp_path, fmt):
+    simulate_columns, scan_columns = readme_column_lists()
+    sim, scan = tmp_path / f"sim.{fmt}", tmp_path / f"scan.{fmt}"
+    common = ("--alpha-deg", 10, "--n", 1000, "--seed", 2, "--format", fmt)
+    assert run("simulate", "--beta-deg", 30, *common, "--out", sim) == 0
+    assert run("scan", "--beta-start", 0, "--beta-stop", 90, "--beta-step", 30, *common,
+               "--out", scan) == 0
+    for path, columns in ((sim, simulate_columns), (scan, scan_columns)):
+        text = path.read_text()
+        header = text.splitlines()[0].split(",") if fmt == "csv" else json.loads(text)["columns"]
+        assert header == columns
+
+
 # ---------------------------------------------------------------------------
 # chsh
 # ---------------------------------------------------------------------------
@@ -423,6 +446,15 @@ def test_chsh_rejects_bad_argument_combinations(tmp_path):
     assert run("chsh", "--maximize", "--analytic") == 2  # missing step
     assert run("chsh", "--angles-deg", 0, 1, 2, 3, "--n", 0) == 2
     assert run("chsh", "--angles-deg", 0, 1, 2, 3, "--step-deg", 5, "--analytic") == 2
+
+
+def test_chsh_maximize_refuses_a_fine_non_wrapping_grid_at_once(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "quantum_reference", lambda a, b: calls.append((a, b)))
+    assert run("chsh", "--maximize", "--step-deg", 0.0441, "--analytic") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "4082 points" in err and "Traceback" not in err
+    assert calls == []
 
 
 @pytest.mark.parametrize("step", ["1e-320", "inf", "nan", "0", "-1"])

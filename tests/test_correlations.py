@@ -432,3 +432,24 @@ def test_grid_search_rejects_bad_resolution():
     for step in (math.inf, math.nan, 1e-322):
         with pytest.raises(ValueError, match="grid step"):
             chsh_maximize(step, quantum_reference)
+
+
+def test_the_exhaustive_scan_is_refused_above_its_grid_cap_on_a_wrapping_grid():
+    m = correlations._MAX_EXHAUSTIVE + 56  # pi / m divides the half turn
+    with pytest.raises(ValueError, match=f"grid of {m} points"):
+        chsh_maximize(math.pi / m, lopsided)
+    _, value = chsh_maximize(math.pi / m, quantum_reference)  # circulant: the shift search
+    assert abs(value - TSIRELSON) <= 1e-12
+
+
+def test_a_non_wrapping_grid_above_the_cap_is_refused_before_any_correlation_call():
+    calls = []
+
+    def counted(alpha, beta):
+        calls.append(1)
+        return quantum_reference(alpha, beta)
+
+    m = correlations._MAX_EXHAUSTIVE + 1
+    with pytest.raises(ValueError, match=f"grid of {m} points"):
+        chsh_maximize(math.pi / m * (1.0 + 1e-6), counted)
+    assert calls == []

@@ -32,6 +32,11 @@ def gap(lhs, rhs):
     return max(abs(a - b) for a, b in zip(lhs.coeffs, rhs.coeffs))
 
 
+def random_unit_vector(rng):
+    v = rng.standard_normal(3)
+    return Vector3(*(v / np.linalg.norm(v)))
+
+
 def random_unit_even(rng):
     w = rng.standard_normal(4)
     w /= np.sqrt(w @ w)
@@ -44,7 +49,7 @@ def random_unit_even(rng):
 
 
 def test_unit_scalar_is_on_the_sphere():
-    assert is_unit_s3(EvenElement.scalar(1.0), 1e-12)
+    assert is_unit_s3(EvenElement(1, 0, 0, 0), 1e-12)
 
 
 def test_mixed_unit_element_is_on_the_sphere():
@@ -52,7 +57,7 @@ def test_mixed_unit_element_is_on_the_sphere():
 
 
 def test_scalar_two_is_off_the_sphere():
-    assert not is_unit_s3(EvenElement.scalar(2.0), 1e-12)
+    assert not is_unit_s3(EvenElement(2, 0, 0, 0), 1e-12)
 
 
 def test_pure_unit_bivector_is_equatorial():
@@ -60,22 +65,22 @@ def test_pure_unit_bivector_is_equatorial():
 
 
 def test_pure_scalar_is_a_pole_not_equatorial():
-    assert not is_equatorial(EvenElement.scalar(1.0), 1e-12)
+    assert not is_equatorial(EvenElement(1, 0, 0, 0), 1e-12)
 
 
 def test_every_unit_dual_is_equatorial():
     rng = np.random.default_rng(0)
     for _ in range(200):
-        v = Vector3(*rng.standard_normal(3)).normalized()
+        v = random_unit_vector(rng)
         assert is_equatorial(dual_bivector(RIGHT_HANDED, v), 1e-12)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-9])
 def test_membership_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError):
-        is_unit_s3(EvenElement.scalar(1.0), tol)
+        is_unit_s3(EvenElement(1, 0, 0, 0), tol)
     with pytest.raises(ValueError):
-        is_equatorial(EvenElement.scalar(1.0), tol)
+        is_equatorial(EvenElement(1, 0, 0, 0), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +89,8 @@ def test_membership_rejects_bad_tolerance(tol):
 
 
 def test_identity_factors_into_an_inverse_pair():
-    q, q_inv = factorize_s3_point(EvenElement.scalar(1.0), 2, seed=5)
-    assert gap(even_product(q, q_inv), EvenElement.scalar(1.0)) < 1e-12
+    q, q_inv = factorize_s3_point(EvenElement(1, 0, 0, 0), 2, seed=5)
+    assert gap(even_product(q, q_inv), EvenElement(1, 0, 0, 0)) < 1e-12
 
 
 def test_single_factor_is_the_target_itself():
@@ -116,9 +121,9 @@ def test_factorization_is_deterministic_per_seed():
 
 def test_factorization_rejects_bad_input():
     with pytest.raises(ValueError):
-        factorize_s3_point(EvenElement.scalar(1.0), 0, seed=0)
+        factorize_s3_point(EvenElement(1, 0, 0, 0), 0, seed=0)
     with pytest.raises(ValueError):
-        factorize_s3_point(EvenElement.scalar(2.0), 3, seed=0)
+        factorize_s3_point(EvenElement(2, 0, 0, 0), 3, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +157,9 @@ def test_witness_for_oblique_directions():
 def test_witness_scalar_equals_minus_dot_product():
     rng = np.random.default_rng(3)
     for _ in range(500):
-        a = Vector3(*rng.standard_normal(3)).normalized()
-        b = Vector3(*rng.standard_normal(3)).normalized()
-        assert abs(s2_nonclosure_witness(a, b).s + a.dot(b)) <= 1e-12
+        a, b = random_unit_vector(rng), random_unit_vector(rng)
+        dot = a.x * b.x + a.y * b.y + a.z * b.z
+        assert abs(s2_nonclosure_witness(a, b).s + dot) <= 1e-12
 
 
 def test_products_of_unit_elements_stay_on_the_sphere():
