@@ -10,11 +10,12 @@ The library has four layers:
 * :mod:`threesphere.protocol`: the local measurement protocol whose
   shared hidden variable is the orientation of the algebra.
 * :mod:`threesphere.correlations`: expectation estimators, the analytic
-  ``cos 2(alpha - beta)`` reference, and CHSH evaluation/search.
+  ``cos 2(alpha - beta)`` reference, which ``chsh --n`` also evaluates,
+  recording ``n`` without a sign sum, and CHSH evaluation/search.
 
 The package re-exports each layer's ``__all__``, the one place a public
-name is declared; among them are ``SIGN_CHUNK``, ``joint_estimator``,
-``sign_sum_plan`` and ``stream_summary``.
+name is declared; among them are ``SIGN_CHUNK``, ``sign_sum_plan`` and
+``stream_summary``.
 
 The ``threesphere`` command exposes the same functionality as
 deterministic, file-producing experiments.

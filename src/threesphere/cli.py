@@ -7,7 +7,8 @@ the configuration, the package version, and the wall-clock duration (the
 only place a timestamp appears).  Its ``parameters`` are the parsed
 options under their argparse dest names, plus the angles in radians
 (``alpha_rad``, and ``beta_rad`` for ``simulate``); ``chsh`` records
-``n`` as 0 under ``--analytic``.
+``n`` as 0 under ``--analytic``.  ``chsh --n`` records ``n`` and evaluates
+``cos 2(alpha-beta)``, the estimate's scalar channel, without a sign sum.
 
 Exit codes: 0 success, 1 runtime or property failure, 2 usage error.
 Every numeric input has a bounded range: ``--n`` runs from 1 to
@@ -26,12 +27,13 @@ import sys
 import time
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__
 from .correlations import (
     ChshSettings,
     chsh_maximize,
     chsh_value,
-    joint_estimator,
     joint_expectation,
     quantum_reference,
     stream_summary,
@@ -76,33 +78,46 @@ def _int_in_range(low: int, high=None):
     return parse
 
 
-def _write_estimates(args, betas, estimates, omit=()) -> None:
-    """Write one row per beta of the estimates at ``args.alpha_deg``.
+def _write_estimates(args, beta_deg, omit=()):
+    """Write the rows and manifest of the estimate at ``args.alpha_deg`` and ``beta_deg``.
 
-    The columns are every column of the row except those in ``omit``.
+    ``beta_deg`` is one angle, or an array of angles with one row each; one
+    :func:`joint_expectation` and one :func:`quantum_reference` call give
+    every row.  The columns are all but those in ``omit``.  Returns the estimate.
     """
+    started = time.perf_counter()
     alpha = PolarizerAngle.from_degrees(args.alpha_deg)
-    rows = []
-    for beta_deg, estimate in zip(betas, estimates):
-        reference = quantum_reference(alpha, PolarizerAngle.from_degrees(beta_deg))
-        byz, bzx, bxy = estimate.bivector_mean
-        row = {
-            "alpha_deg": float(args.alpha_deg),
-            "beta_deg": float(beta_deg),
-            "scalar_mean": estimate.scalar_mean,
-            "biv_yz": byz,
-            "biv_zx": bzx,
-            "biv_xy": bxy,
-            "bivector_norm": estimate.bivector_norm,
-            "standard_error": estimate.standard_error,
-            "quantum_ref": reference,
-            "deviation": abs(estimate.scalar_mean - reference),
-            "n": estimate.trial_count,
-            "seed": args.seed,
-        }
-        rows.append(row)
-    fields = [field for field in rows[0] if field not in omit]
+    derived = {"alpha_rad": alpha.radians}
+    if isinstance(beta_deg, np.ndarray):
+        beta = np.radians(beta_deg)
+    else:
+        beta = PolarizerAngle.from_degrees(beta_deg)
+        derived["beta_rad"] = beta.radians
+    estimate = joint_expectation(alpha, beta, args.n, args.seed, threads=args.threads)
+    reference = quantum_reference(alpha, beta)
+    byz, bzx, bxy = estimate.bivector_mean
+    row = {
+        "alpha_deg": float(args.alpha_deg),
+        "beta_deg": beta_deg,
+        "scalar_mean": estimate.scalar_mean,
+        "biv_yz": byz,
+        "biv_zx": bzx,
+        "biv_xy": bxy,
+        "bivector_norm": estimate.bivector_norm,
+        "standard_error": estimate.standard_error,
+        "quantum_ref": reference,
+        "deviation": abs(estimate.scalar_mean - reference),
+        "n": estimate.trial_count,
+        "seed": args.seed,
+    }
+    rows = [row]
+    arrays = {name: value.tolist() for name, value in row.items() if isinstance(value, np.ndarray)}
+    if arrays:
+        rows = [{**row, **dict(zip(arrays, values))} for values in zip(*arrays.values())]
+    fields = [field for field in row if field not in omit]
     write_table(args.out, fields, rows, fmt=args.format)
+    _manifest(args, started, derived, stream=stream_summary(args.n, args.threads))
+    return estimate
 
 
 def _manifest(args, started: float, derived: dict, **blocks) -> None:
@@ -122,17 +137,7 @@ def _manifest(args, started: float, derived: dict, **blocks) -> None:
 
 
 def cmd_simulate(args) -> int:
-    started = time.perf_counter()
-    alpha = PolarizerAngle.from_degrees(args.alpha_deg)
-    beta = PolarizerAngle.from_degrees(args.beta_deg)
-    estimate = joint_expectation(alpha, beta, args.n, args.seed, threads=args.threads)
-    _write_estimates(args, [args.beta_deg], [estimate])
-    _manifest(
-        args,
-        started,
-        {"alpha_rad": alpha.radians, "beta_rad": beta.radians},
-        stream=stream_summary(args.n, args.threads),
-    )
+    estimate = _write_estimates(args, float(args.beta_deg))
     print(
         f"E({args.alpha_deg:g}, {args.beta_deg:g}) scalar mean {estimate.scalar_mean:.12f} "
         f"(n={args.n}) -> {args.out}"
@@ -164,13 +169,7 @@ def _scan_betas(start: float, stop: float, step: float) -> list:
 
 def cmd_scan(args) -> int:
     betas = _scan_betas(args.beta_start_deg, args.beta_stop_deg, args.beta_step_deg)
-    started = time.perf_counter()
-    alpha = PolarizerAngle.from_degrees(args.alpha_deg)
-    estimate = joint_estimator(args.n, args.seed, threads=args.threads)
-    estimates = [estimate(alpha, PolarizerAngle.from_degrees(beta_deg)) for beta_deg in betas]
-    _write_estimates(args, betas, estimates, omit=("alpha_deg", "standard_error"))
-    stream = stream_summary(args.n, args.threads)
-    _manifest(args, started, {"alpha_rad": alpha.radians}, stream=stream)
+    _write_estimates(args, np.array(betas), omit=("alpha_deg", "standard_error"))
     print(f"scan: {len(betas)} settings -> {args.out}")
     return 0
 
@@ -186,18 +185,11 @@ def cmd_chsh(args) -> int:
         raise UsageError("--step-deg needs --maximize")
     started = time.perf_counter()
 
-    if args.analytic:
-        correlation = quantum_reference
-        method = "analytic"
-        n = 0
-    else:
-        n = args.n
-        estimate = joint_estimator(n, args.seed, threads=args.threads)
-
-        def correlation(a, b):
-            return estimate(a, b).scalar_mean
-
-        method = "monte-carlo"
+    # The Monte Carlo scalar channel is cos 2(a-b) at every seed and n, and no
+    # output reads the sign sum, so --n evaluates the reference and records n.
+    correlation = quantum_reference
+    method = "analytic" if args.analytic else "monte-carlo"
+    n = 0 if args.analytic else args.n
 
     if args.maximize:
         settings, value = chsh_maximize(math.radians(args.step_deg), correlation)

@@ -12,9 +12,9 @@ The sum comes from :func:`~.protocol.handedness_sign_sum`, which streams
 the orientation draws in fixed chunks, so memory does not grow with the
 trial count.  :func:`sign_sum_plan` splits the trial range into shards of
 whole chunks, one per worker thread, with at most one worker per CPU and
-per chunk.  Any number of angle pairs share one sign sum:
-:func:`joint_estimator` computes it once for all of them, so a scan and a
-CHSH evaluation or search each make one sum.
+per chunk.  Given radian arrays, :func:`joint_expectation` makes one sign
+sum for every angle pair, so a scan makes one sum.  ``chsh`` makes none:
+it reads only the scalar channel, ``cos 2(a-b)``, and evaluates that.
 
 :func:`chsh_maximize` fills the grid's correlation matrix with one call of
 the correlation on radian arrays, then searches it one of two ways.  On a
@@ -49,7 +49,6 @@ __all__ = [
     "ChshSettings",
     "single_expectation",
     "joint_expectation",
-    "joint_estimator",
     "sign_sum_plan",
     "stream_summary",
     "quantum_reference",
@@ -63,8 +62,8 @@ class CorrelationEstimate:
     """Componentwise Monte Carlo average of even-element outcomes.
 
     The scalar channel is ``cos 2(alpha-beta)`` by construction, hence exact;
-    ``chsh --n`` reads only it, so its value is ``--analytic``'s to the bit; no
-    ``chsh`` output column shows the sign sum.  The bivector channel is the
+    ``chsh --n`` reads only it, so it records ``n`` and evaluates
+    ``cos 2(alpha-beta)`` without a sign sum.  The bivector channel is the
     mean +1/-1 sign times ``sin 2(alpha-beta)``; ``standard_error`` is its
     envelope ``1/sqrt(trial_count)``.  Each channel is a float or an array.
     """
@@ -176,37 +175,23 @@ def single_expectation(
     )
 
 
-def joint_estimator(n: int, seed: int, threads: int = 1):
-    """Joint estimates over ``n`` shared orientation samples, as a function of two angles.
-
-    The sign sum is computed once, here, for every angle pair; only the
-    bivector mean, the mean sign times ``sin 2(alpha-beta)``, reads it.  The
-    scalar mean is ``cos 2(alpha-beta)`` at every seed and ``n``, and is all
-    that ``chsh --n`` reads.  The angles are two :class:`PolarizerAngle` or
-    two radian arrays, which give one estimate whose channels are arrays.
-    """
-    mean_sign = _mean_sign(n, seed, threads)
-
-    def estimate(alpha, beta) -> CorrelationEstimate:
-        d = 2.0 * (_radians(alpha) - _radians(beta))
-        return CorrelationEstimate(
-            scalar_mean=np.cos(d),
-            bivector_mean=(0.0, 0.0, mean_sign * np.sin(d)),
-            trial_count=n,
-        )
-
-    return estimate
-
-
-def joint_expectation(
-    alpha: PolarizerAngle, beta: PolarizerAngle, n: int, seed: int, threads: int = 1
-) -> CorrelationEstimate:
+def joint_expectation(alpha, beta, n: int, seed: int, threads: int = 1) -> CorrelationEstimate:
     """Average the outcome product over ``n`` shared orientation samples.
 
-    The one-pair case of :func:`joint_estimator`, which makes its own sign
-    sum; call that once instead to share the sum across angle pairs.
+    Each call makes one sign sum, which only the bivector mean, the mean
+    sign times ``sin 2(alpha-beta)``, reads.  The scalar mean is
+    ``cos 2(alpha-beta)`` at every seed and ``n``.  The angles are two
+    :class:`PolarizerAngle`, which give float channels, or two radian
+    arrays, which give one estimate whose channels are arrays of their
+    broadcast shape; pass arrays to share the sum across angle pairs.
     """
-    return joint_estimator(n, seed, threads)(alpha, beta)
+    mean_sign = _mean_sign(n, seed, threads)
+    d = 2.0 * (_radians(alpha) - _radians(beta))
+    return CorrelationEstimate(
+        scalar_mean=np.cos(d),
+        bivector_mean=(0.0, 0.0, mean_sign * np.sin(d)),
+        trial_count=n,
+    )
 
 
 def quantum_reference(alpha, beta):

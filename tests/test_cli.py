@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -268,6 +269,53 @@ def test_scan_tabulates_the_reference_values(tmp_path):
     assert rows[2]["scalar_mean"] == -1.0
 
 
+def _csv_fields(path):
+    """The rows of a CSV data file as written, one ``{column: text}`` dict each."""
+    with open(path, newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
+def test_every_scan_row_equals_the_simulate_row_bit_for_bit(tmp_path):
+    # One array estimate gives the scan; one pair each gives the simulate rows.
+    # The 17-digit text of a float round-trips it, so equal text is equal bits.
+    common = ("--alpha-deg", 17, "--n", 3000, "--seed", 9)
+    scan = tmp_path / "scan.csv"
+    assert run("scan", *common, "--beta-start", 0, "--beta-stop", 180, "--beta-step", 5,
+               "--out", scan) == 0
+    rows = _csv_fields(scan)
+    assert [row["beta_deg"] for row in rows] == [str(5 * k) for k in range(37)]
+    for k, row in enumerate(rows):
+        out = tmp_path / f"sim{k}.csv"
+        assert run("simulate", *common, "--beta-deg", row["beta_deg"], "--out", out) == 0
+        (simulated,) = _csv_fields(out)
+        assert {name: simulated[name] for name in row} == row
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--alpha-deg={}", "--beta-deg", 0, "--n", 10),
+        ("simulate", "--alpha-deg", 0, "--beta-deg={}", "--n", 10),
+        ("scan", "--alpha-deg={}", "--beta-start", 0, "--beta-stop", 10, "--beta-step", 5,
+         "--n", 10),
+        ("chsh", "--angles-deg", 0, -45, "{}", 22.5, "--analytic"),
+        ("chsh", "--angles-deg", "{}", -45, -22.5, 22.5, "--n", 10),
+    ],
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_angles_are_usage_errors(tmp_path, capsys, argv, value):
+    out = tmp_path / "x.csv"
+    code = run(*(str(a).replace("{}", value) for a in argv), "--out", out)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+    if argv[0] == "chsh" and value == "-inf":
+        # argparse reads a bare "-inf" among the four angles as an option
+        assert "--angles-deg: expected 4 arguments" in captured.err
+    else:
+        assert captured.err == f"error: angle must be finite, got {value}\n"
+
+
 def test_scan_full_grid_has_tiny_deviation(tmp_path):
     out = tmp_path / "scan.csv"
     assert run("scan", "--alpha-deg", 0, "--beta-start", 0, "--beta-stop", 180, "--beta-step", 5,
@@ -425,6 +473,7 @@ def test_chsh_maximize_at_quarter_degree_saturates_the_bound(tmp_path):
     ],
 )
 def test_monte_carlo_commands_make_one_sign_sum(monkeypatch, tmp_path, argv):
+    """``simulate`` and ``scan`` make one sum; ``chsh --n`` reads no sign sum and makes none."""
     monkeypatch.chdir(tmp_path)
     calls = []
     summed = correlations._summed_signs
@@ -435,7 +484,7 @@ def test_monte_carlo_commands_make_one_sign_sum(monkeypatch, tmp_path, argv):
 
     monkeypatch.setattr(correlations, "_summed_signs", counted)
     assert run(*argv, "--seed", 5) == 0
-    assert len(calls) == 1
+    assert len(calls) == (0 if argv[0] == "chsh" else 1)
 
 
 def test_chsh_rejects_bad_argument_combinations(tmp_path):

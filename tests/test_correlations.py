@@ -11,7 +11,6 @@ from threesphere.correlations import (
     CorrelationEstimate,
     chsh_maximize,
     chsh_value,
-    joint_estimator,
     joint_expectation,
     quantum_reference,
     sign_sum_plan,
@@ -118,14 +117,13 @@ def test_joint_estimate_equals_the_per_record_average():
         assert abs(got - brute) <= 1e-12
 
 
-def test_joint_estimator_takes_radian_arrays():
-    estimate = joint_estimator(5000, seed=4)
+def test_joint_expectation_takes_radian_arrays():
     alphas, betas = np.radians([0.0, 17.0, 95.5]), np.radians([22.5, -40.0, 179.0])
-    batch = estimate(alphas[:, None], betas[None, :])
+    batch = joint_expectation(alphas[:, None], betas[None, :], 5000, seed=4)
     assert batch.scalar_mean.shape == batch.bivector_mean[2].shape == (3, 3)
     for i, alpha in enumerate(alphas):
         for j, beta in enumerate(betas):
-            one = estimate(PolarizerAngle(alpha), PolarizerAngle(beta))
+            one = joint_expectation(PolarizerAngle(alpha), PolarizerAngle(beta), 5000, seed=4)
             assert isinstance(one.scalar_mean, float)
             assert batch.scalar_mean[i, j] == one.scalar_mean
             assert batch.bivector_mean[2][i, j] == one.bivector_mean[2]
