@@ -131,10 +131,15 @@ class Multivector:
 
 
 def _bilinear(tensor: np.ndarray, lhs, rhs):
+    """``sum_ij lhs_i rhs_j tensor[i, j, k]`` over broadcast ``(..., 8)`` rows, as one contraction.
+
+    The matmul is exact, as a basis product is one signed blade.
+    """
     if isinstance(lhs, Multivector):
         return Multivector(_bilinear(tensor, np.array(lhs.coeffs), np.array(rhs.coeffs)))
     lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
-    return sum(lhs[..., i, None] * (rhs @ tensor[i]) for i in range(8))
+    columns = rhs @ tensor.transpose(1, 0, 2).reshape(8, 64)
+    return np.einsum("...i,...ik->...k", lhs, columns.reshape(rhs.shape[:-1] + (8, 8)))
 
 
 def geometric_product(lhs, rhs):

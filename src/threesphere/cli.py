@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 import time
 from datetime import datetime, timezone
@@ -300,6 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=_int_in_range(0, MAX_SEED), default=0, help="suite seed")
     verify.set_defaults(func=cmd_verify)
 
+    # "-1e3" and "-inf" are values, not options: no option string looks like a number.
+    for subparser in sub.choices.values():
+        subparser._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf$|nan$)", re.IGNORECASE)
     return parser
 
 

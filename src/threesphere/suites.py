@@ -5,13 +5,14 @@ instances of one algebraic or topological contract; the residual is the
 largest absolute coefficient deviation seen, compared against a fixed
 tolerance.
 
-Instances are drawn in blocks of :data:`BLOCK` rows, each block one call
-of the array kernels per operation, so memory stays flat in the sample
-count; a check keeps the worst residual over its blocks.
+A suite is one ``block(start, size)`` function, drawing each kind of
+instance once per block of :data:`BLOCK` rows, and one ordered ``(name,
+tolerance)`` table; a check keeps its worst residual over the blocks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,87 +78,73 @@ def _blocks(samples: int):
         yield start, min(BLOCK, samples - start)
 
 
-def _worst(samples: int, block_residual) -> float:
-    """Largest ``block_residual(size)`` over the blocks of ``samples`` instances."""
-    return max(block_residual(size) for _, size in _blocks(samples))
+def _worst(samples: int, block) -> list:
+    """Per-check maxima of the residuals ``block(start, size)`` returns for each block.
+
+    ``np.max`` keeps a NaN residual, which then fails its check.
+    """
+    return np.max([block(start, size) for start, size in _blocks(samples)], axis=0).tolist()
+
+
+def _checks(residuals, *table) -> list:
+    return [PropertyCheck(name, worst, tol) for (name, tol), worst in zip(table, residuals)]
 
 
 def _random_signs(rng, size: int) -> np.ndarray:
     return 1.0 - 2.0 * rng.integers(2, size=size)
 
 
-def _random_angles(rng, size: int) -> np.ndarray:
-    return rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size)
-
-
 def algebra_suite(samples: int = 1000, seed: int = 0) -> list:
     rng = np.random.default_rng(seed)
 
-    def split(size):
-        u, v = np.zeros((2, size, 8))
-        u[:, 1:4], v[:, 1:4] = rng.standard_normal((2, size, 3))
-        dot_plus_wedge = wedge(u, v)
-        dot_plus_wedge[:, 0] += np.sum(u * v, axis=1)
-        return _gap(geometric_product(u, v), dot_plus_wedge)
-
-    def basis_rule(size):
+    def block(start, size):
+        # The associativity rows and their products set the memory peak, so
+        # they are drawn first and dropped before the next draw.
+        m, n, p = rng.uniform(-10.0, 10.0, (3, size, 8))
+        mn_p = geometric_product(geometric_product(m, n), p)
+        associativity = _gap(mn_p, geometric_product(m, geometric_product(n, p)))
+        del m, n, p, mn_p
+        signs = _random_signs(rng, size)
+        vectors = np.zeros((2, size, 8))
+        vectors[..., 1:4] = rng.standard_normal((2, size, 3))
+        a, b = vectors[..., 1:4]
+        dot_plus_wedge = wedge(*vectors)
+        dot_plus_wedge[:, 0] += np.sum(a * b, axis=1)
         j, k = rng.integers(3, size=(2, size))
-        signs = _random_signs(rng, size)
         ej, ek = np.eye(3)[j], np.eye(3)[k]
-        product = even_product(dual_bivector(signs, ej), dual_bivector(signs, ek))
-        product[:, 0] += j == k
-        oriented_cross = signs[:, None] * np.cross(ej, ek)
-        return _gap(product + dual_bivector(signs, oriented_cross), 0.0)
-
-    def generic_identity(size):
-        signs = _random_signs(rng, size)
-        a, b = rng.standard_normal((2, size, 3))
-        return _gap(bivector_identity_residual(signs, a, b), 0.0)
-
-    def even_closure(size):
+        basis_rule = even_product(dual_bivector(signs, ej), dual_bivector(signs, ek))
+        basis_rule[:, 0] += j == k
+        basis_rule += dual_bivector(signs, signs[:, None] * np.cross(ej, ek))
         embedded = np.zeros((2, size, 8))
         embedded[..., _EVEN] = rng.standard_normal((2, size, 4))
         p, q = embedded[..., _EVEN]
         full = geometric_product(*embedded)
-        return max(_gap(full[:, _ODD], 0.0), _gap(even_product(p, q), full[:, _EVEN]))
-
-    def multiplicative_norm(size):
-        p, q = rng.standard_normal((2, size, 4))
+        pq = even_product(p, q)
         norm = np.linalg.norm
-        return _gap(norm(even_product(p, q), axis=1), norm(p, axis=1) * norm(q, axis=1))
-
-    def associativity(size):
-        m, n, p = rng.uniform(-10.0, 10.0, (3, size, 8))
-        return _gap(
-            geometric_product(geometric_product(m, n), p),
-            geometric_product(m, geometric_product(n, p)),
+        return (
+            _gap(geometric_product(*vectors), dot_plus_wedge),
+            _gap(basis_rule, 0.0),
+            _gap(bivector_identity_residual(signs, a, b), 0.0),
+            max(_gap(full[:, _ODD], 0.0), _gap(pq, full[:, _EVEN])),
+            _gap(norm(pq, axis=1), norm(p, axis=1) * norm(q, axis=1)),
+            associativity,
+            _gap(dual_bivector(LEFT_HANDED, a) + dual_bivector(RIGHT_HANDED, a), 0.0),
         )
 
-    def orientation_flip(size):
-        v = rng.standard_normal((size, 3))
-        return _gap(dual_bivector(LEFT_HANDED, v) + dual_bivector(RIGHT_HANDED, v), 0.0)
-
-    return [
-        PropertyCheck(name, _worst(samples, block_residual), tolerance)
-        for name, block_residual, tolerance in (
-            ("vector product splits into dot plus wedge", split, 1e-12),
-            ("basis bivector products follow the orientation rule", basis_rule, 1e-12),
-            ("generic oriented bivector identity", generic_identity, 1e-12),
-            ("even subalgebra closes and matches the full product", even_closure, 1e-12),
-            ("norm is multiplicative on the even part", multiplicative_norm, 1e-12),
-            ("geometric product associates", associativity, 1e-10),
-            ("orientation flip negates the dual exactly", orientation_flip, 0.0),
-        )
-    ]
+    return _checks(
+        _worst(samples, block),
+        ("vector product splits into dot plus wedge", 1e-12),
+        ("basis bivector products follow the orientation rule", 1e-12),
+        ("generic oriented bivector identity", 1e-12),
+        ("even subalgebra closes and matches the full product", 1e-12),
+        ("norm is multiplicative on the even part", 1e-12),
+        ("geometric product associates", 1e-10),
+        ("orientation flip negates the dual exactly", 0.0),
+    )
 
 
 def topology_suite(samples: int = 1000, seed: int = 0) -> list:
     rng = np.random.default_rng(seed)
-
-    def round_trip(size):
-        points = _random_unit_rows(rng, 3, size)
-        points[points[:, 2] > 1.0 - 1e-6, 2] *= -1.0
-        return _gap(stereographic_unproject(stereographic_project(points)), points)
 
     try:
         stereographic_project(S2Point(0.0, 0.0, 1.0))
@@ -167,82 +154,66 @@ def topology_suite(samples: int = 1000, seed: int = 0) -> list:
 
     # Instance i splits its target into 1 + i % 8 factors.  A block is factorized
     # in one call, under a fresh seed, and multiplied back over all its slots:
-    # the identities padding the shorter rows are exact.
-    def factorization(start, size):
-        targets = _random_unit_rows(rng, 4, size)
+    # the identities padding the shorter rows are exact.  The pole check is one
+    # fixed instance, so every block reports it.
+    def block(start, size):
+        a, b = _random_unit_rows(rng, 3, 2, size)
+        a[a[:, 2] > 1.0 - 1e-6, 2] *= -1.0
+        p, q = _random_unit_rows(rng, 4, 2, size)
         counts = 1 + (start + np.arange(size)) % 8
-        factors = factorize_s3_point(targets, counts, seed=int(rng.integers(2**31)))
-        product = factors[:, 0]
-        for k in range(1, factors.shape[1]):
-            product = even_product(product, factors[:, k])
-        return _gap(product, targets), _gap(np.einsum("...i,...i", factors, factors), 1.0)
-
-    residuals = [factorization(start, size) for start, size in _blocks(samples)]
-    worst_product = max(product for product, _ in residuals)
-    worst_unit = max(unit for _, unit in residuals)
-
-    def witness(size):
-        a, b = _random_unit_rows(rng, 3, size), _random_unit_rows(rng, 3, size)
-        return _gap(s2_nonclosure_witness(a, b)[:, 0], -np.sum(a * b, axis=1))
-
-    def closure(size):
-        p, q = _random_unit_rows(rng, 4, size), _random_unit_rows(rng, 4, size)
-        return _gap(np.sum(even_product(p, q) ** 2, axis=1), 1.0)
-
-    return [
-        PropertyCheck(name, worst, tolerance)
-        for name, worst, tolerance in (
-            ("stereographic round trip returns to the point", _worst(samples, round_trip), 1e-12),
-            ("north pole is rejected by the projection", pole_accepted, 0.0),
-            ("factors multiply back to the target", worst_product, 1e-9),
-            ("every factor lies on the unit 3-sphere", worst_unit, 1e-12),
-            ("equatorial product scalar equals minus the dot", _worst(samples, witness), 1e-12),
-            ("the 3-sphere closes under multiplication", _worst(samples, closure), 1e-12),
+        factors = factorize_s3_point(p, counts, seed=int(rng.integers(2**31)))
+        product = functools.reduce(even_product, factors.swapaxes(0, 1))
+        return (
+            _gap(stereographic_unproject(stereographic_project(a)), a),
+            pole_accepted,
+            _gap(product, p),
+            _gap(np.einsum("...i,...i", factors, factors), 1.0),
+            _gap(s2_nonclosure_witness(a, b)[:, 0], -np.sum(a * b, axis=1)),
+            _gap(np.sum(even_product(p, q) ** 2, axis=1), 1.0),
         )
-    ]
+
+    return _checks(
+        _worst(samples, block),
+        ("stereographic round trip returns to the point", 1e-12),
+        ("north pole is rejected by the projection", 0.0),
+        ("factors multiply back to the target", 1e-9),
+        ("every factor lies on the unit 3-sphere", 1e-12),
+        ("equatorial product scalar equals minus the dot", 1e-12),
+        ("the 3-sphere closes under multiplication", 1e-12),
+    )
 
 
 def protocol_suite(samples: int = 1000, seed: int = 0) -> list:
     rng = np.random.default_rng(seed)
 
-    def closed_form(size):
-        alpha, beta = _random_angles(rng, (2, size))
+    def block(start, size):
+        alpha, beta = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (2, size))
         signs = _random_signs(rng, size)
-        direct = oriented_even_product(signs, alice_outcome(alpha, signs), bob_outcome(beta, signs))
-        return _gap(direct, joint_product_closed_form(alpha, beta, signs))
+        alice = alice_outcome(alpha, signs)
+        direct = oriented_even_product(signs, alice, bob_outcome(beta, signs))
+        return (
+            _gap(direct, joint_product_closed_form(alpha, beta, signs)),
+            max(_gap(alice[:, 0], 0.0), _gap(np.sum(alice * alice, axis=1), 1.0)),
+            _gap(np.sum(direct * direct, axis=1), 1.0),
+            _gap(alice, alice_outcome(alpha + math.pi, signs)),
+        )
 
-    def on_equator(size):
-        outcome = alice_outcome(_random_angles(rng, size), _random_signs(rng, size))
-        return max(_gap(outcome[:, 0], 0.0), _gap(np.sum(outcome * outcome, axis=1), 1.0))
-
-    def unit_products(size):
-        alpha, beta = _random_angles(rng, (2, size))
-        signs = _random_signs(rng, size)
-        direct = oriented_even_product(signs, alice_outcome(alpha, signs), bob_outcome(beta, signs))
-        return _gap(np.sum(direct * direct, axis=1), 1.0)
-
-    def half_turn(size):
-        theta, signs = _random_angles(rng, size), _random_signs(rng, size)
-        return _gap(alice_outcome(theta, signs), alice_outcome(theta + math.pi, signs))
-
+    # The balance check is a sum over the stream, not a maximum over blocks.
     repeat_gap, total = 0.0, 0
     for start, size in _blocks(samples):
         first = handedness_signs(seed, size, start)
         repeat_gap = max(repeat_gap, _gap(first, handedness_signs(seed, size, start)))
         total += int(first.sum())
 
-    return [
-        PropertyCheck(name, worst, tolerance)
-        for name, worst, tolerance in (
-            ("closed form matches the direct outcome product", _worst(samples, closed_form), 1e-12),
-            ("outcomes sit on the equator of the 3-sphere", _worst(samples, on_equator), 1e-12),
-            ("outcome products stay on the 3-sphere", _worst(samples, unit_products), 1e-12),
-            ("outcomes are invariant under a half-turn", _worst(samples, half_turn), 1e-12),
-            ("orientation stream repeats for a fixed seed", repeat_gap, 0.0),
-            ("orientation samples are balanced within 4/sqrt(n)",
-             abs(total) / samples, 4.0 / math.sqrt(samples)),
-        )
-    ]
+    return _checks(
+        [*_worst(samples, block), repeat_gap, abs(total) / samples],
+        ("closed form matches the direct outcome product", 1e-12),
+        ("outcomes sit on the equator of the 3-sphere", 1e-12),
+        ("outcome products stay on the 3-sphere", 1e-12),
+        ("outcomes are invariant under a half-turn", 1e-12),
+        ("orientation stream repeats for a fixed seed", 0.0),
+        ("orientation samples are balanced within 4/sqrt(n)", 4.0 / math.sqrt(samples)),
+    )
 
 
 SUITES = {

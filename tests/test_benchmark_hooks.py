@@ -1,6 +1,7 @@
 """The benchmark's traced run can still find every name it wraps."""
 
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -66,3 +67,41 @@ def test_traced_grid_search_runs_with_real_wrappers(monkeypatch, tmp_path, sourc
     assert metrics["correlations.chsh_grid_points"] == 8
     # One array call of the reference fills the grid under --analytic and --n alike.
     assert metrics["correlations.chsh_correlation_calls"] == 1
+
+
+def test_traced_verify_counts_every_instance_and_one_protocol_pipeline_per_block(
+    monkeypatch, capsys
+):
+    """Each protocol block draws its outcomes once and every check reads them."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import instrument
+    import spans
+
+    calls = Counter()
+
+    def counting(name):
+        kernel = getattr(suites, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return kernel(*args)
+
+        return counted
+
+    pipeline = ("alice_outcome", "bob_outcome", "oriented_even_product", "joint_product_closed_form")
+    for name in pipeline:
+        monkeypatch.setattr(suites, name, counting(name))
+    samples = 2 * suites.BLOCK
+    tracer = spans.Tracer()
+    with spans.patched(instrument.patches(tracer, cli, correlations, suites)):
+        with tracer.job(0):
+            code = cli.main(["verify", "all", "--samples", str(samples)])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "verify: all properties hold"
+    (job_spans, aggregates), = tracer.by_job().values()
+    metrics = instrument.job_metrics(job_spans, aggregates)
+    assert metrics["suites.instances"] == 19 * samples
+    assert metrics["suites.checks_failed"] == 0
+    # Two blocks; the half-turn check is the only second alice_outcome call.
+    assert calls == {"alice_outcome": 4, "bob_outcome": 2, "oriented_even_product": 2,
+                     "joint_product_closed_form": 2}

@@ -309,11 +309,25 @@ def test_non_finite_angles_are_usage_errors(tmp_path, capsys, argv, value):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "" and "Traceback" not in captured.err
     assert list(tmp_path.iterdir()) == []
-    if argv[0] == "chsh" and value == "-inf":
-        # argparse reads a bare "-inf" among the four angles as an option
-        assert "--angles-deg: expected 4 arguments" in captured.err
-    else:
-        assert captured.err == f"error: angle must be finite, got {value}\n"
+    assert captured.err == f"error: angle must be finite, got {value}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, recorded",
+    [
+        (("simulate", "--alpha-deg", "-1e3", "--beta-deg", 0, "--n", 10), ("alpha_deg", -1000.0)),
+        (("scan", "--alpha-deg", "-1E3", "--beta-start", "-1e1", "--beta-stop", 0, "--beta-step", 5,
+          "--n", 10), ("beta_start_deg", -10.0)),
+        (("chsh", "--angles-deg", 0, "-1e3", 0, 0, "--analytic"), ("angles_deg", [0.0, -1000.0, 0.0, 0.0])),
+    ],
+)
+def test_negative_angles_in_exponent_form_are_values(tmp_path, capsys, argv, recorded):
+    out = tmp_path / "x.csv"
+    assert run(*argv, "--out", out) == 0
+    assert capsys.readouterr().err == ""
+    name, value = recorded
+    manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+    assert manifest["parameters"][name] == value
 
 
 def test_scan_full_grid_has_tiny_deviation(tmp_path):

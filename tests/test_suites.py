@@ -160,6 +160,30 @@ def test_full_products_match_the_dataclass_form(rng, product):
     assert product(Multivector(tuple(lhs[0])), Multivector(tuple(rhs[0]))).coeffs == tuple(rows[0])
 
 
+def eight_term_sum(tensor, lhs, rhs):
+    """``sum_ij lhs_i rhs_j tensor[i, j, k]`` as a sum of eight matmul terms, one per lhs blade."""
+    return sum(lhs[..., i, None] * (rhs @ tensor[i]) for i in range(8))
+
+
+TENSORS = {geometric_product: algebra._PRODUCT_TENSOR, wedge: algebra._WEDGE_TENSOR}
+
+
+@pytest.mark.parametrize("product", [geometric_product, wedge])
+@pytest.mark.parametrize(
+    "shapes", [((ROWS, 8), (ROWS, 8)), ((8,), (ROWS, 8)), ((1, 8), (8,))], ids=["NxN", "1xN", "1x1"]
+)
+def test_full_products_equal_the_eight_term_sum_bit_for_bit(rng, product, shapes):
+    tensor = TENSORS[product]
+    for scale in (1e-8, 1.0, 1e8):
+        lhs, rhs = (scale * rng.standard_normal(shape) for shape in shapes)
+        rows, expected = product(lhs, rhs), eight_term_sum(tensor, lhs, rhs)
+        assert rows.shape == expected.shape
+        assert rows.tobytes() == expected.tobytes()
+    lhs, rhs = rng.standard_normal((2, 8))
+    one = product(Multivector(tuple(lhs)), Multivector(tuple(rhs)))
+    assert np.array(one.coeffs).tobytes() == eight_term_sum(tensor, lhs, rhs).tobytes()
+
+
 def test_even_products_match_the_dataclass_form(rng, handed):
     lhs, rhs = rng.standard_normal((2, ROWS, 4))
     oriented = oriented_even_product(np.full(ROWS, float(handed.sign)), lhs, rhs)
@@ -364,6 +388,16 @@ def test_accepted_north_pole_fails_the_pole_check(monkeypatch, capsys):
     assert main(["verify", "topology", "--samples", "200"]) == 1
     line = "[topology] north pole is rejected by the projection: max residual 1.000e+00 (tol 0.0e+00) FAIL"
     assert line in capsys.readouterr().out.splitlines()
+
+
+def test_unsigned_bob_outcome_fails_the_closed_form_check(monkeypatch, capsys):
+    def unsigned(beta, handedness):
+        return dual_bivector(handedness, polarizer_axis(beta))
+
+    monkeypatch.setattr(suites, "bob_outcome", unsigned)
+    assert failing() == {"closed form matches the direct outcome product"}
+    assert main(["verify", "protocol", "--samples", "200"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "verify: FAILURES above"
 
 
 def test_left_handed_chain_fails_the_factorization_check(monkeypatch, capsys):
