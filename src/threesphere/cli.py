@@ -194,21 +194,20 @@ def cmd_chsh(args) -> int:
 
     if args.maximize:
         settings, value = chsh_maximize(math.radians(args.step_deg), correlation)
+        angles = (settings.alpha, settings.alpha_prime, settings.beta, settings.beta_prime)
+        degrees = [angle.degrees for angle in angles]
     else:
-        a, ap, b, bp = args.angles_deg
-        settings = ChshSettings(
-            alpha=PolarizerAngle.from_degrees(a),
-            alpha_prime=PolarizerAngle.from_degrees(ap),
-            beta=PolarizerAngle.from_degrees(b),
-            beta_prime=PolarizerAngle.from_degrees(bp),
-        )
+        # The given angles are written as given, not read back from radians.
+        degrees = args.angles_deg
+        settings = ChshSettings(*map(PolarizerAngle.from_degrees, degrees))
         value = chsh_value(settings, correlation)
 
+    a, ap, b, bp = degrees
     row = {
-        "alpha_deg": settings.alpha.degrees,
-        "alpha_prime_deg": settings.alpha_prime.degrees,
-        "beta_deg": settings.beta.degrees,
-        "beta_prime_deg": settings.beta_prime.degrees,
+        "alpha_deg": a,
+        "alpha_prime_deg": ap,
+        "beta_deg": b,
+        "beta_prime_deg": bp,
         "e_ab": correlation(settings.alpha, settings.beta),
         "e_ab_prime": correlation(settings.alpha, settings.beta_prime),
         "e_aprime_b": correlation(settings.alpha_prime, settings.beta),

@@ -5,12 +5,31 @@ double exactly; the reader recovers the original values bit for bit.
 Data files never contain timestamps, so re-running a configuration
 reproduces them byte for byte; wall-clock information lives only in the
 sidecar manifest.
+
+Every output is overwritten in place: the file is opened without
+``O_TRUNC``, the new text is written over the old, and a regular file is
+then cut at the end of that text, so the bytes on disk are exactly those of
+a fresh write.  Symlinks are followed and hard links keep sharing the file,
+as with ``open(path, "w")``; a target that is not a regular file (such as
+``os.devnull`` or a FIFO) is written without the cut.  On ext4 with
+``auto_da_alloc`` (the default), truncating a file that holds data to zero
+makes its ``close()`` force block allocation and start writeback
+("replace-via-truncate"), and replacing it by rename does the same.  On
+the ext4 root of a 2-vCPU KVM guest, rewriting a 320-byte file took a
+median 105 µs with ``open(path, "w")`` and 129 µs through a temporary
+file and ``os.replace``, against 19 µs in place (30 rounds of 300
+rewrites; round medians 86-223, 85-315 and 12-30 µs).  The write is not
+atomic: a reader, or a crash, mid-write can see a mix of old and new
+bytes, as it could with ``open(path, "w")``.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
+import stat
 from pathlib import Path
 
 __all__ = [
@@ -31,12 +50,21 @@ def format_value(value) -> str:
     return str(value)
 
 
+def _overwrite(path, text: str) -> None:
+    """Write ``text`` over ``path`` in place and cut a regular file at its end."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as handle:
+        handle.write(text)
+        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            handle.truncate()
+
+
 def _write_csv(path: Path, fieldnames: list, rows: list) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([format_value(row[name]) for name in fieldnames])
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(fieldnames)
+    for row in rows:
+        writer.writerow([format_value(row[name]) for name in fieldnames])
+    _overwrite(path, text.getvalue())
 
 
 def _write_json(path: Path, fieldnames: list, rows: list) -> None:
@@ -44,9 +72,7 @@ def _write_json(path: Path, fieldnames: list, rows: list) -> None:
         "columns": list(fieldnames),
         "rows": [{name: row[name] for name in fieldnames} for row in rows],
     }
-    with open(path, "w", newline="") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
+    _overwrite(path, json.dumps(document, indent=2) + "\n")
 
 
 def write_table(path, fieldnames: list, rows: list, fmt: str = "csv") -> None:
@@ -90,7 +116,5 @@ def manifest_path(data_path) -> Path:
 def write_manifest(data_path, manifest: dict) -> Path:
     """Write the sidecar manifest for a data file and return its path."""
     path = manifest_path(data_path)
-    with open(path, "w", newline="") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _overwrite(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path

@@ -157,10 +157,21 @@ def test_simulate_manifest_records_the_stream_plan(tmp_path):
     assert manifest["parameters"]["threads"] == 4
 
 
-def test_simulate_reports_io_failure(tmp_path):
-    missing_dir = tmp_path / "absent" / "x.csv"
-    assert run("simulate", "--alpha-deg", 0, "--beta-deg", 0, "--n", 10, "--seed", 1,
-               "--out", missing_dir) == 1
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--alpha-deg", 0, "--beta-deg", 0, "--n", 10),
+        ("scan", "--alpha-deg", 0, "--beta-start", 0, "--beta-stop", 10, "--beta-step", 5,
+         "--n", 10),
+        ("chsh", "--angles-deg", 0, -45, -22.5, 22.5, "--analytic"),
+    ],
+)
+@pytest.mark.parametrize("out", ["absent/x.csv", "directory"], ids=["missing", "directory"])
+def test_unwritable_outputs_are_io_errors(tmp_path, capsys, argv, out):
+    (tmp_path / "directory").mkdir()
+    assert run(*argv, "--out", tmp_path / out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "Traceback" not in err
 
 
 def test_unknown_arguments_exit_with_usage_error():
@@ -330,6 +341,28 @@ def test_negative_angles_in_exponent_form_are_values(tmp_path, capsys, argv, rec
     assert manifest["parameters"][name] == value
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_shorter_scan_over_a_longer_one_equals_a_fresh_write(tmp_path, monkeypatch, fmt):
+    def scan(directory, stop):
+        directory.mkdir(exist_ok=True)
+        monkeypatch.chdir(directory)
+        assert run("scan", "--alpha-deg", 10, "--beta-start", 0, "--beta-stop", stop,
+                   "--beta-step", 5, "--n", 100, "--format", fmt, "--out", "scan.out") == 0
+        return directory / "scan.out"
+
+    assert len(read_table(scan(tmp_path / "reused", 180))) == 37
+    reused = scan(tmp_path / "reused", 10)
+    fresh = scan(tmp_path / "fresh", 10)
+    assert reused.read_bytes() == fresh.read_bytes()
+
+    def manifest(data):
+        document = json.loads(Path(str(data) + ".manifest.json").read_text())
+        del document["duration_seconds"], document["created_utc"]
+        return document
+
+    assert manifest(reused) == manifest(fresh)
+
+
 def test_scan_full_grid_has_tiny_deviation(tmp_path):
     out = tmp_path / "scan.csv"
     assert run("scan", "--alpha-deg", 0, "--beta-start", 0, "--beta-stop", 180, "--beta-step", 5,
@@ -443,6 +476,17 @@ def test_chsh_analytic_at_the_derived_quadruple(tmp_path, capsys):
     (row,) = read_table(out)
     assert abs(row["chsh_value"] - TSIRELSON) <= 1e-6
     assert row["method"] == "analytic"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_chsh_records_the_given_angles_as_given(tmp_path, fmt):
+    out = tmp_path / "chsh.out"
+    assert run("chsh", "--angles-deg", 0.1, "-1e3", 1 / 3, 22.5, "--analytic",
+               "--format", fmt, "--out", out) == 0
+    (row,) = read_table(out)
+    manifest = json.loads((tmp_path / "chsh.out.manifest.json").read_text())
+    columns = ("alpha_deg", "alpha_prime_deg", "beta_deg", "beta_prime_deg")
+    assert [row[name] for name in columns] == manifest["parameters"]["angles_deg"]
 
 
 def test_chsh_analytic_with_equal_angles(capsys):

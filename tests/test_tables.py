@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 
 import pytest
 
@@ -65,3 +67,62 @@ def test_manifest_sits_next_to_the_data(tmp_path):
     assert path == manifest_path(data)
     assert path.name == "out.csv.manifest.json"
     assert "demo" in path.read_text()
+
+
+def _write_table_csv(path):
+    write_table(path, ["x", "n"], [{"x": 0.5, "n": 1}])
+    return path
+
+
+def _write_table_json(path):
+    write_table(path, ["x", "n"], [{"x": 0.5, "n": 1}], fmt="json")
+    return path
+
+
+def _write_manifest(path):
+    return write_manifest(path, {"command": "demo"})
+
+
+@pytest.mark.parametrize("write", [_write_table_csv, _write_table_json, _write_manifest])
+def test_rewriting_a_longer_file_leaves_exactly_the_new_bytes(tmp_path, write):
+    fresh = write(tmp_path / "fresh.csv")
+    target = write(tmp_path / "reused.csv")
+    target.write_text("old contents, much longer than the new ones\n" * 100)
+    assert write(tmp_path / "reused.csv") == target
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+def test_writing_through_a_symlink_updates_the_target_and_keeps_the_link(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_text("stale\n" * 50)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    write_table(link, ["n"], [{"n": 1}])
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_text() == "n\n1\n"
+
+
+def test_hard_links_keep_sharing_the_rewritten_file(tmp_path):
+    first = tmp_path / "first.csv"
+    first.write_text("stale\n" * 50)
+    second = tmp_path / "second.csv"
+    os.link(first, second)
+    write_table(first, ["n"], [{"n": 1}])
+    assert second.read_text() == "n\n1\n" and first.stat().st_ino == second.stat().st_ino
+
+
+def test_tables_can_be_written_to_a_device():
+    write_table(os.devnull, ["n"], [{"n": 1}])
+    write_table(os.devnull, ["n"], [{"n": 1}], fmt="json")
+
+
+def test_new_files_get_the_mode_open_w_gives(tmp_path):
+    previous = os.umask(0o002)
+    try:
+        write_table(tmp_path / "new.csv", ["n"], [{"n": 1}])
+        with open(tmp_path / "opened.csv", "w"):
+            pass
+    finally:
+        os.umask(previous)
+    mode = stat.S_IMODE((tmp_path / "new.csv").stat().st_mode)
+    assert mode == 0o666 & ~0o002 == stat.S_IMODE((tmp_path / "opened.csv").stat().st_mode)
