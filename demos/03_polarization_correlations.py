@@ -38,8 +38,8 @@ single = single_expectation(alpha, 10**6, seed=2)
 print(f"\nsingle-arm estimate norm at n=1e6: {single.bivector_norm:.2e}")
 
 # The joint expectation across a sweep of angle differences reproduces
-# the quantum curve in the scalar channel at every point.
-print(f"\n{'diff':>6} {'scalar mean':>14} {'cos 2(a-b)':>14} {'bivector norm':>14}")
+# the quantum curve, Tr[rho P(a) (x) P(b)] for |Phi+>, in the scalar channel.
+print(f"\n{'diff':>6} {'scalar mean':>14} {'quantum ref':>14} {'bivector norm':>14}")
 for diff in range(0, 181, 15):
     a = PolarizerAngle.from_degrees(diff)
     b = PolarizerAngle.from_degrees(0.0)

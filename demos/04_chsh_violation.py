@@ -26,6 +26,7 @@ TSIRELSON = 2.0 * math.sqrt(2.0)
 # The quadruple that maximizes the combination for cos 2(a-b).
 settings = ChshSettings(alpha=deg(0.0), alpha_prime=deg(-45.0), beta=deg(-22.5), beta_prime=deg(22.5))
 
+# The quantum reference evaluates Tr[rho P(a) (x) P(b)] for the |Phi+> photon state.
 analytic = chsh_value(settings, quantum_reference)
 print(f"analytic CHSH at (0, -45, -22.5, 22.5): {analytic:.12f}")
 print(f"quantum bound 2*sqrt(2):                {TSIRELSON:.12f}")

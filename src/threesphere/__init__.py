@@ -9,9 +9,9 @@ The library has four layers:
   projection.
 * :mod:`threesphere.protocol`: the local measurement protocol whose
   shared hidden variable is the orientation of the algebra.
-* :mod:`threesphere.correlations`: expectation estimators, the analytic
-  ``cos 2(alpha - beta)`` reference, which ``chsh --n`` also evaluates,
-  recording ``n`` without a sign sum, and CHSH evaluation/search.
+* :mod:`threesphere.correlations`: expectation estimators, the quantum
+  reference ``Tr[rho P(alpha) (x) P(beta)]`` of the |Phi+> photon state,
+  and CHSH evaluation/search.
 
 The package re-exports each layer's ``__all__``, the one place a public
 name is declared; among them are ``SIGN_CHUNK``, ``sign_sum_plan`` and

@@ -7,8 +7,9 @@ the configuration, the package version, and the wall-clock duration (the
 only place a timestamp appears).  Its ``parameters`` are the parsed
 options under their argparse dest names, plus the angles in radians
 (``alpha_rad``, and ``beta_rad`` for ``simulate``); ``chsh`` records
-``n`` as 0 under ``--analytic``.  ``chsh --n`` records ``n`` and evaluates
-``cos 2(alpha-beta)``, the estimate's scalar channel, without a sign sum.
+``n`` as 0 under ``--analytic``, which evaluates the |Phi+> quantum reference.
+``chsh --n`` records ``n`` and evaluates the model's scalar channel
+``cos 2(alpha-beta)`` without a sign sum.
 
 Exit codes: 0 success, 1 runtime or property failure, 2 usage error.
 Every numeric input has a bounded range: ``--n`` runs from 1 to
@@ -35,6 +36,7 @@ from .correlations import (
     ChshSettings,
     chsh_maximize,
     chsh_value,
+    _scalar_channel,
     joint_expectation,
     quantum_reference,
     stream_summary,
@@ -186,9 +188,9 @@ def cmd_chsh(args) -> int:
         raise UsageError("--step-deg needs --maximize")
     started = time.perf_counter()
 
-    # The Monte Carlo scalar channel is cos 2(a-b) at every seed and n, and no
-    # output reads the sign sum, so --n evaluates the reference and records n.
-    correlation = quantum_reference
+    # The model's scalar channel is cos 2(a-b) at every seed and n, and no
+    # output reads the sign sum, so --n evaluates that channel and records n.
+    correlation = quantum_reference if args.analytic else _scalar_channel
     method = "analytic" if args.analytic else "monte-carlo"
     n = 0 if args.analytic else args.n
 

@@ -1,4 +1,4 @@
-"""Expectation-value estimators, the analytic reference, and CHSH search.
+"""Expectation-value estimators, the quantum reference, and CHSH search.
 
 Per trial the outcome product is ``cos 2(a-b) + sign_i * sin 2(a-b) *
 e_xy``: a constant scalar channel plus a bivector channel proportional to
@@ -13,8 +13,9 @@ the orientation draws in fixed chunks, so memory does not grow with the
 trial count.  :func:`sign_sum_plan` splits the trial range into shards of
 whole chunks, one per worker thread, with at most one worker per CPU and
 per chunk.  Given radian arrays, :func:`joint_expectation` makes one sign
-sum for every angle pair, so a scan makes one sum.  ``chsh`` makes none:
-it reads only the scalar channel, ``cos 2(a-b)``, and evaluates that.
+sum for every angle pair, so a scan makes one sum.  ``chsh --n`` makes none:
+it reads only the scalar channel, ``cos 2(a-b)``, and evaluates that.  The
+check on the model, :func:`quantum_reference`, comes from the photon state.
 
 :func:`chsh_maximize` fills the grid's correlation matrix with one call of
 the correlation on radian arrays, then searches it one of two ways.  On a
@@ -51,6 +52,7 @@ __all__ = [
     "joint_expectation",
     "sign_sum_plan",
     "stream_summary",
+    "PHI_PLUS",
     "quantum_reference",
     "chsh_value",
     "chsh_maximize",
@@ -62,10 +64,9 @@ class CorrelationEstimate:
     """Componentwise Monte Carlo average of even-element outcomes.
 
     The scalar channel is ``cos 2(alpha-beta)`` by construction, hence exact;
-    ``chsh --n`` reads only it, so it records ``n`` and evaluates
-    ``cos 2(alpha-beta)`` without a sign sum.  The bivector channel is the
-    mean +1/-1 sign times ``sin 2(alpha-beta)``; ``standard_error`` is its
-    envelope ``1/sqrt(trial_count)``.  Each channel is a float or an array.
+    ``chsh --n`` reads only it.  The bivector channel is the mean +1/-1 sign
+    times ``sin 2(alpha-beta)``; ``standard_error`` is its envelope
+    ``1/sqrt(trial_count)``.  Each channel is a float or an array.
     """
 
     scalar_mean: float
@@ -188,19 +189,46 @@ def joint_expectation(alpha, beta, n: int, seed: int, threads: int = 1) -> Corre
     mean_sign = _mean_sign(n, seed, threads)
     d = 2.0 * (_radians(alpha) - _radians(beta))
     return CorrelationEstimate(
-        scalar_mean=np.cos(d),
+        scalar_mean=_scalar_channel(alpha, beta),
         bivector_mean=(0.0, 0.0, mean_sign * np.sin(d)),
         trial_count=n,
     )
 
 
-def quantum_reference(alpha, beta):
-    """The quantum-mechanical correlation ``cos 2(alpha - beta)``.
-
-    A float for two :class:`PolarizerAngle`; for radian arrays, the array
-    of their broadcast shape.
-    """
+def _scalar_channel(alpha, beta):
+    """The bivector model's scalar channel ``cos 2(alpha - beta)``, a float or an array."""
     return _channel(np.cos(2.0 * (_radians(alpha) - _radians(beta))))
+
+
+_PAULI = np.array([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]])  # sigma_z, sigma_x
+
+
+def _correlation_tensor(rho):
+    """``T[j, k] = Tr[rho (sigma_j (x) sigma_k)]`` for ``sigma = (sigma_z, sigma_x)``."""
+    return np.einsum("acbd,jba,kdc->jk", rho.reshape(2, 2, 2, 2), _PAULI, _PAULI)
+
+
+# The photon pair's polarization state |Phi+> = (|HH> + |VV>)/sqrt(2) over
+# |HH>, |HV>, |VH>, |VV>, in exact halves so that its tensor is exactly the identity.
+PHI_PLUS = 0.5 * np.outer([1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0])
+_PHI_PLUS_TENSOR = _correlation_tensor(PHI_PLUS)
+
+
+def quantum_reference(alpha, beta):
+    """The quantum correlation ``Tr[rho P(alpha) (x) P(beta)]`` of the state :data:`PHI_PLUS`.
+
+    ``P(theta) = cos 2theta sigma_z + sin 2theta sigma_x``, so it is the
+    bilinear form ``u(alpha)^T T u(beta)`` of ``u(theta) = (cos 2theta,
+    sin 2theta)``: ``cos 2(alpha - beta)`` up to rounding, from one cosine
+    and one sine per angle.  A float for two :class:`PolarizerAngle`; for
+    radian arrays, the array of their broadcast shape.
+    """
+    (tzz, tzx), (txz, txx) = _PHI_PLUS_TENSOR
+    a, b = 2.0 * _radians(alpha), 2.0 * _radians(beta)
+    cos_b, sin_b = np.cos(b), np.sin(b)
+    result = np.cos(a) * (tzz * cos_b + tzx * sin_b)
+    result += np.sin(a) * (txz * cos_b + txx * sin_b)
+    return _channel(result)
 
 
 def chsh_value(settings: ChshSettings, correlation) -> float:

@@ -504,6 +504,21 @@ def test_chsh_monte_carlo_matches_the_bound(tmp_path):
     assert row["n"] == 10000
 
 
+def test_chsh_monte_carlo_reads_the_model_and_analytic_reads_the_state(tmp_path):
+    angles = (0, -45, -22.5, 22.5)
+    pairs = {"e_ab": (0, 2), "e_ab_prime": (0, 3), "e_aprime_b": (1, 2), "e_aprime_bprime": (1, 3)}
+    settings = [PolarizerAngle.from_degrees(angle) for angle in angles]
+    rows = {}
+    for source in (("--n", 1000), ("--analytic",)):
+        out = tmp_path / f"{source[0][2:]}.csv"
+        assert run("chsh", "--angles-deg", *angles, *source, "--out", out) == 0
+        (rows[source[0]],) = read_table(out)
+    for column, (i, j) in pairs.items():
+        model = joint_expectation(settings[i], settings[j], 1000, 0).scalar_mean
+        assert rows["--n"][column] == model
+        assert abs(rows["--analytic"][column] - model) <= 1e-15
+
+
 def test_chsh_maximize_reports_the_grid_maximum(tmp_path, capsys):
     out = tmp_path / "max.csv"
     assert run("chsh", "--maximize", "--step-deg", 2.5, "--analytic", "--out", out) == 0

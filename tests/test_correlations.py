@@ -99,11 +99,12 @@ def test_joint_at_eighth_turn_with_a_million_trials():
 
 
 def test_joint_scalar_is_seed_and_count_independent():
-    reference = quantum_reference(deg(10.0), deg(70.0))
+    first = joint_expectation(deg(10.0), deg(70.0), 1, seed=0).scalar_mean
+    assert abs(first - quantum_reference(deg(10.0), deg(70.0))) <= 1e-15
     for seed in (0, 1, 999, 2**40):
         for n in (1, 17, 4096):
             estimate = joint_expectation(deg(10.0), deg(70.0), n, seed=seed)
-            assert estimate.scalar_mean == reference
+            assert estimate.scalar_mean == first
 
 
 def test_joint_estimate_equals_the_per_record_average():
@@ -243,7 +244,51 @@ def test_reference_on_radian_arrays_equals_the_scalar_formula():
     assert grid.shape == (240, 240)
     for i in range(0, 240, 7):
         for j in range(240):
-            assert grid[i, j] == math.cos(2.0 * (thetas[i] - thetas[j]))
+            assert grid[i, j] == quantum_reference(PolarizerAngle(thetas[i]), PolarizerAngle(thetas[j]))
+            assert abs(grid[i, j] - math.cos(2.0 * (thetas[i] - thetas[j]))) <= 1e-15
+
+
+def test_the_correlation_tensor_of_phi_plus_is_exactly_the_identity():
+    tensor = correlations._correlation_tensor(correlations.PHI_PLUS)
+    assert tensor.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("visibility, violates", [(0.70, False), (0.71, True)])
+def test_a_werner_state_violates_chsh_only_above_visibility_one_over_root_two(
+    monkeypatch, visibility, violates
+):
+    werner = visibility * correlations.PHI_PLUS + (1.0 - visibility) * np.eye(4) / 4.0
+    monkeypatch.setattr(correlations, "_PHI_PLUS_TENSOR", correlations._correlation_tensor(werner))
+    _, value = chsh_maximize(math.radians(0.75), quantum_reference)
+    assert value == pytest.approx(visibility * TSIRELSON, abs=1e-12)
+    assert (value > 2.0) is violates
+
+
+def test_the_chsh_operator_at_the_optimal_settings_has_largest_eigenvalue_two_root_two():
+    def polarizer(theta_deg):
+        two = math.radians(2.0 * theta_deg)
+        return math.cos(two) * correlations._PAULI[0] + math.sin(two) * correlations._PAULI[1]
+
+    a, ap, b, bp = map(polarizer, (0.0, 45.0, 22.5, -22.5))
+    operator = np.kron(a, b) + np.kron(a, bp) + np.kron(ap, b) - np.kron(ap, bp)
+    assert abs(np.linalg.eigvalsh(operator).max() - TSIRELSON) <= 1e-12
+
+
+def test_the_reference_grid_takes_one_cosine_and_one_sine_per_angle(monkeypatch):
+    elements = []
+    for name in ("cos", "sin"):
+        trig = getattr(np, name)
+
+        def counted(x, *args, trig=trig, **kwargs):
+            elements.append(np.size(x))
+            return trig(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    m = 240
+    thetas = np.arange(m) * math.radians(0.75)
+    grid = quantum_reference(thetas[:, None], thetas[None, :])
+    assert grid.shape == (m, m)
+    assert 0 < sum(elements) <= 4 * m
 
 
 def test_chsh_with_equal_settings_is_two():
