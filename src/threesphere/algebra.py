@@ -21,12 +21,13 @@ of the oriented product (see :func:`oriented_even_product`).
 
 Every operation is an array kernel over stacked ``(..., 8)``, ``(..., 4)``
 or ``(..., 3)`` coefficient rows, with the orientation as +1/-1 row signs:
-the full products contract through a signed ``(8, 8, 8)`` Cayley tensor,
-the even ones apply one column formula.  A dataclass argument, with a
-:class:`Handedness`, is the one-row case and returns a dataclass.
-Products are only the functions :func:`geometric_product`, :func:`wedge`
-and :func:`even_product`: a :class:`Multivector` supports ``+`` and
-scaling; :class:`EvenElement` supports negation.
+the full products read their signs from a signed ``(8, 8, 8)`` Cayley
+tensor and gather one blade per term, the even ones apply one column
+formula.  A dataclass argument, with a :class:`Handedness`, is the
+one-row case and returns a dataclass.  Products are only the functions
+:func:`geometric_product`, :func:`wedge` and :func:`even_product`: a
+:class:`Multivector` supports ``+`` and scaling; :class:`EvenElement`
+supports negation.
 """
 
 from __future__ import annotations
@@ -98,6 +99,14 @@ def _build_tensors():
 
 _PRODUCT_TENSOR, _WEDGE_TENSOR = _build_tensors()
 
+# e_i e_j is a signed e_k with mask_k = mask_i ^ mask_j, so for each (i, k)
+# both tensors are nonzero at most at j = _GATHER[i][k]; indexing a tensor
+# with _SIGN_AT picks those (8, 8) entries.
+_GATHER = [
+    [_BASIS_MASKS.index(mask_i ^ mask_k) for mask_k in _BASIS_MASKS] for mask_i in _BASIS_MASKS
+]
+_SIGN_AT = (np.arange(8)[:, None], np.array(_GATHER), np.arange(8))
+
 
 @dataclass(frozen=True)
 class Multivector:
@@ -131,15 +140,31 @@ class Multivector:
 
 
 def _bilinear(tensor: np.ndarray, lhs, rhs):
-    """``sum_ij lhs_i rhs_j tensor[i, j, k]`` over broadcast ``(..., 8)`` rows, as one contraction.
+    """``sum_ij lhs_i rhs_j tensor[i, j, k]`` over broadcast ``(..., 8)`` rows, as signed gathers.
 
-    The matmul is exact, as a basis product is one signed blade.
+    Row ``i`` of the tensor sends ``e_i e_j`` to one signed blade, so
+    coefficient ``k`` is ``sum_i sign * lhs_i * rhs_j`` with ``j =
+    _GATHER[i][k]`` and the sign read from ``tensor[i, j, k]``; a zero entry
+    drops the term.  The gather and the sign are exact, with no matmul: each
+    term is one rounded product, added or subtracted in ``i`` order on
+    coefficient-major copies of the rows, so no ``(..., 64)`` intermediate is
+    built.  The result is a ``(..., 8)`` view of a coefficient-major array.
     """
     if isinstance(lhs, Multivector):
         return Multivector(_bilinear(tensor, np.array(lhs.coeffs), np.array(rhs.coeffs)))
     lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
-    columns = rhs @ tensor.transpose(1, 0, 2).reshape(8, 64)
-    return np.einsum("...i,...ik->...k", lhs, columns.reshape(rhs.shape[:-1] + (8, 8)))
+    batch = np.broadcast_shapes(lhs.shape[:-1], rhs.shape[:-1])
+    lhs = np.ascontiguousarray(np.moveaxis(lhs, -1, 0))
+    rhs = np.ascontiguousarray(np.moveaxis(rhs, -1, 0))
+    total = np.zeros((8,) + batch)
+    term = np.empty(batch)
+    for column, blades, signs in zip(lhs, _GATHER, tensor[_SIGN_AT].tolist()):
+        for k, (j, sign) in enumerate(zip(blades, signs)):
+            if sign:
+                np.multiply(column, rhs[j], out=term)
+                accumulate = np.add if sign > 0 else np.subtract
+                accumulate(total[k, ...], term, out=total[k, ...])
+    return np.moveaxis(total, 0, -1)
 
 
 def geometric_product(lhs, rhs):

@@ -51,8 +51,11 @@ __all__ = ["BLOCK", "PropertyCheck", "algebra_suite", "topology_suite", "protoco
 # of 2**10 halve the kernel calls and raise each suite's tracemalloc peak from
 # at most 0.6 to about 1.2 MB; the benchmark's verify-suites peak resident
 # memory rose 0.7 MB.  Blocks of 10**4 rows peaked 4.7 MB higher in resident
-# memory than blocks of 2**10.
-BLOCK = 1 << 11
+# memory than blocks of 2**10.  Blocks of 2**12 rows, with the suites on
+# two threads, peak at 1.9 (algebra), 2.5 (topology) and 0.7 (protocol) MB
+# of tracemalloc at 10**4 samples; the benchmark's verify-suites peak
+# resident memory rose about 2.5 MB, from 61.5 MB.
+BLOCK = 1 << 12
 
 # Coefficient positions of the scalar and the three bivectors in a multivector row.
 _EVEN = [0, 4, 5, 6]
@@ -98,8 +101,8 @@ def algebra_suite(samples: int = 1000, seed: int = 0) -> list:
     rng = np.random.default_rng(seed)
 
     def block(start, size):
-        # The associativity rows and their products set the memory peak, so
-        # they are drawn first and dropped before the next draw.
+        # Each draw's residuals are taken, and its rows dropped, before the
+        # next draw, so one group of temporaries is alive at a time.
         m, n, p = rng.uniform(-10.0, 10.0, (3, size, 8))
         mn_p = geometric_product(geometric_product(m, n), p)
         associativity = _gap(mn_p, geometric_product(m, geometric_product(n, p)))
@@ -110,25 +113,32 @@ def algebra_suite(samples: int = 1000, seed: int = 0) -> list:
         a, b = vectors[..., 1:4]
         dot_plus_wedge = wedge(*vectors)
         dot_plus_wedge[:, 0] += np.sum(a * b, axis=1)
+        split = _gap(geometric_product(*vectors), dot_plus_wedge)
+        generic = _gap(bivector_identity_residual(signs, a, b), 0.0)
+        flip = _gap(dual_bivector(LEFT_HANDED, a) + dual_bivector(RIGHT_HANDED, a), 0.0)
+        del vectors, a, b, dot_plus_wedge
         j, k = rng.integers(3, size=(2, size))
         ej, ek = np.eye(3)[j], np.eye(3)[k]
         basis_rule = even_product(dual_bivector(signs, ej), dual_bivector(signs, ek))
         basis_rule[:, 0] += j == k
         basis_rule += dual_bivector(signs, signs[:, None] * np.cross(ej, ek))
+        basis = _gap(basis_rule, 0.0)
+        del ej, ek, basis_rule
         embedded = np.zeros((2, size, 8))
         embedded[..., _EVEN] = rng.standard_normal((2, size, 4))
-        p, q = embedded[..., _EVEN]
         full = geometric_product(*embedded)
+        p, q = embedded[..., _EVEN]
+        del embedded
         pq = even_product(p, q)
         norm = np.linalg.norm
         return (
-            _gap(geometric_product(*vectors), dot_plus_wedge),
-            _gap(basis_rule, 0.0),
-            _gap(bivector_identity_residual(signs, a, b), 0.0),
+            split,
+            basis,
+            generic,
             max(_gap(full[:, _ODD], 0.0), _gap(pq, full[:, _EVEN])),
             _gap(norm(pq, axis=1), norm(p, axis=1) * norm(q, axis=1)),
             associativity,
-            _gap(dual_bivector(LEFT_HANDED, a) + dual_bivector(RIGHT_HANDED, a), 0.0),
+            flip,
         )
 
     return _checks(
@@ -159,17 +169,21 @@ def topology_suite(samples: int = 1000, seed: int = 0) -> list:
     def block(start, size):
         a, b = _random_unit_rows(rng, 3, 2, size)
         a[a[:, 2] > 1.0 - 1e-6, 2] *= -1.0
+        round_trip = _gap(stereographic_unproject(stereographic_project(a)), a)
+        witness = _gap(s2_nonclosure_witness(a, b)[:, 0], -np.sum(a * b, axis=1))
+        del a, b
         p, q = _random_unit_rows(rng, 4, 2, size)
+        closure = _gap(np.sum(even_product(p, q) ** 2, axis=1), 1.0)
         counts = 1 + (start + np.arange(size)) % 8
         factors = factorize_s3_point(p, counts, seed=int(rng.integers(2**31)))
         product = functools.reduce(even_product, factors.swapaxes(0, 1))
         return (
-            _gap(stereographic_unproject(stereographic_project(a)), a),
+            round_trip,
             pole_accepted,
             _gap(product, p),
             _gap(np.einsum("...i,...i", factors, factors), 1.0),
-            _gap(s2_nonclosure_witness(a, b)[:, 0], -np.sum(a * b, axis=1)),
-            _gap(np.sum(even_product(p, q) ** 2, axis=1), 1.0),
+            witness,
+            closure,
         )
 
     return _checks(

@@ -63,7 +63,7 @@ def test_criterion_1_joint_correlation_reproduces_the_quantum_curve():
     points = list(range(0, 181, 5))
     for index, diff_deg in enumerate(points):
         estimate = joint_expectation(deg(diff_deg), deg(0.0), n, seed=2026 + index)
-        expected = math.cos(2.0 * math.radians(diff_deg))
+        expected = quantum_reference(deg(diff_deg), deg(0.0))
         worst_scalar = max(worst_scalar, abs(estimate.scalar_mean - expected))
         inside += estimate.bivector_norm <= envelope
     elapsed = time.perf_counter() - started

@@ -5,11 +5,12 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from threesphere import cli, correlations
+from threesphere import cli, correlations, suites
 from threesphere.cli import MAX_SAMPLES, MAX_SCAN_ROWS, MAX_SEED, MAX_TRIALS, _scan_betas, main
 from threesphere.correlations import joint_expectation, quantum_reference
 from threesphere.protocol import PolarizerAngle
@@ -613,6 +614,61 @@ def test_verify_sample_counts_outside_the_range_are_usage_errors(samples, capsys
     captured = capsys.readouterr()
     assert "PASS" not in captured.out
     assert "--samples" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Count the threads started from here on."""
+    started = []
+    start = threading.Thread.start
+
+    def counting(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return started
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 64])
+def test_verify_output_does_not_depend_on_the_thread_count(cpus, monkeypatch, capsys, thread_starts):
+    samples = 2 * suites.BLOCK + 1
+    assert run("verify", "all", "--samples", samples, "--seed", 5) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    del thread_starts[:]
+    assert run("verify", "all", "--samples", samples, "--seed", 5) == 0
+    assert capsys.readouterr().out == expected
+    if cpus == 1:
+        assert thread_starts == []
+    else:
+        assert 1 <= len(thread_starts) <= min(3, cpus)
+
+
+def test_verify_of_one_suite_starts_no_thread(monkeypatch, thread_starts):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert run("verify", "topology", "--samples", 10) == 0
+    assert thread_starts == []
+
+
+def raising(error):
+    def suite(samples, seed):
+        raise error("suite broke")
+
+    return suite
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_verify_suite_errors_keep_their_exit(cpus, monkeypatch, capsys):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "SUITES", {**cli.SUITES, "topology": raising(ValueError)})
+    assert run("verify", "all", "--samples", 10) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: suite broke\n"
+    assert captured.out.startswith("[algebra] ") and "[topology]" not in captured.out
+    monkeypatch.setattr(cli, "SUITES", {**cli.SUITES, "topology": raising(ArithmeticError)})
+    with pytest.raises(ArithmeticError, match="suite broke"):
+        run("verify", "all", "--samples", 10)
 
 
 def test_package_runs_as_a_module():

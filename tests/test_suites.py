@@ -184,6 +184,52 @@ def test_full_products_equal_the_eight_term_sum_bit_for_bit(rng, product, shapes
     assert np.array(one.coeffs).tobytes() == eight_term_sum(tensor, lhs, rhs).tobytes()
 
 
+def einsum_product(tensor, lhs, rhs):
+    """The earlier kernel: one matmul by the ``(8, 64)`` reshaped tensor, then one einsum."""
+    columns = rhs @ tensor.transpose(1, 0, 2).reshape(8, 64)
+    return np.einsum("...i,...ik->...k", lhs, columns.reshape(rhs.shape[:-1] + (8, 8)))
+
+
+def kernel_rows(rng, kind):
+    """Two ``(BLOCK, 8)`` factors of one kind, as the algebra suite draws them."""
+    if kind == "general":
+        return rng.uniform(-10.0, 10.0, (2, suites.BLOCK, 8))
+    rows = np.zeros((2, suites.BLOCK, 8))
+    if kind == "vectors":
+        rows[..., 1:4] = rng.standard_normal((2, suites.BLOCK, 3))
+    else:
+        rows[..., [0, 4, 5, 6]] = rng.standard_normal((2, suites.BLOCK, 4))
+    return rows
+
+
+@pytest.mark.parametrize("product", [geometric_product, wedge])
+@pytest.mark.parametrize("kind", ["general", "vectors", "even"])
+def test_full_products_equal_the_einsum_kernel(rng, product, kind):
+    # Equal as floats: where the factors hold exact zeros, a zero term may
+    # carry the other sign, so -0.0 and 0.0 may trade places.
+    tensor = TENSORS[product]
+    split = kernel_rows(rng, kind)
+    lhs, rhs = split.copy()
+    assert np.array_equal(product(lhs, rhs), einsum_product(tensor, lhs, rhs))
+    assert np.array_equal(product(*split), einsum_product(tensor, *split))
+    one = product(Multivector(tuple(lhs[0])), Multivector(tuple(rhs[0])))
+    assert isinstance(one, Multivector)
+    assert np.array_equal(one.coeffs, einsum_product(tensor, lhs[0], rhs[0]))
+
+
+def test_geometric_product_builds_no_product_table(rng):
+    lhs, rhs = kernel_rows(rng, "general")
+    geometric_product(lhs, rhs)
+    tracemalloc.start()
+    try:
+        geometric_product(lhs, rhs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Half of one (BLOCK, 64) float array, the earlier kernel's intermediate.
+    assert peak < suites.BLOCK * 64 * 8 // 2, peak
+
+
 def test_even_products_match_the_dataclass_form(rng, handed):
     lhs, rhs = rng.standard_normal((2, ROWS, 4))
     oriented = oriented_even_product(np.full(ROWS, float(handed.sign)), lhs, rhs)
