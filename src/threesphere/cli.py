@@ -19,8 +19,9 @@ a scan yields at most :data:`MAX_SCAN_ROWS` rows over a finite angle
 range, and ``verify --samples`` runs from 1 to :data:`MAX_SAMPLES`.
 
 ``verify all`` runs its three suites on ``min(3, os.cpu_count())`` threads,
-the cap the sharded sign sum uses; with one CPU, or one suite, they run in
-the calling thread.  The results print in the fixed suite order either way.
+the cap the sharded sign sum uses; with one CPU, one suite, or fewer than
+:data:`~threesphere.suites.BLOCK` samples, they run in the calling thread.
+The results print in the fixed suite order either way.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .correlations import (
     stream_summary,
 )
 from .protocol import PolarizerAngle
-from .suites import SUITES
+from .suites import BLOCK, SUITES
 from .tables import write_manifest, write_table
 
 
@@ -245,7 +246,9 @@ def _suite_results(names, samples: int, seed: int):
     worker they run inline.  A suite's exception is raised where its
     results are due, after the earlier suites' results.
     """
-    workers = min(len(names), os.cpu_count() or 1)
+    # Below one full block the suites spend their time in the interpreter, so
+    # threads only pass the GIL between them: at 1,000 samples they were slower.
+    workers = min(len(names), os.cpu_count() or 1) if samples >= BLOCK else 1
     if workers == 1:
         for name in names:
             yield name, SUITES[name](samples=samples, seed=seed)

@@ -645,9 +645,10 @@ def test_verify_output_does_not_depend_on_the_thread_count(cpus, monkeypatch, ca
         assert 1 <= len(thread_starts) <= min(3, cpus)
 
 
-def test_verify_of_one_suite_starts_no_thread(monkeypatch, thread_starts):
+@pytest.mark.parametrize("suite, samples", [("topology", 2 * suites.BLOCK), ("all", suites.BLOCK - 1)])
+def test_verify_of_one_suite_or_block_starts_no_thread(suite, samples, monkeypatch, thread_starts):
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert run("verify", "topology", "--samples", 10) == 0
+    assert run("verify", suite, "--samples", samples) == 0
     assert thread_starts == []
 
 
@@ -659,16 +660,17 @@ def raising(error):
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_verify_suite_errors_keep_their_exit(cpus, monkeypatch, capsys):
+def test_verify_suite_errors_keep_their_exit(cpus, monkeypatch, capsys, thread_starts):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(cli, "SUITES", {**cli.SUITES, "topology": raising(ValueError)})
-    assert run("verify", "all", "--samples", 10) == 2
+    assert run("verify", "all", "--samples", suites.BLOCK) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: suite broke\n"
     assert captured.out.startswith("[algebra] ") and "[topology]" not in captured.out
     monkeypatch.setattr(cli, "SUITES", {**cli.SUITES, "topology": raising(ArithmeticError)})
     with pytest.raises(ArithmeticError, match="suite broke"):
-        run("verify", "all", "--samples", 10)
+        run("verify", "all", "--samples", suites.BLOCK)
+    assert bool(thread_starts) == (cpus > 1)
 
 
 def test_package_runs_as_a_module():
