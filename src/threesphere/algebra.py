@@ -158,12 +158,13 @@ def _bilinear(tensor: np.ndarray, lhs, rhs):
     rhs = np.ascontiguousarray(np.moveaxis(rhs, -1, 0))
     total = np.zeros((8,) + batch)
     term = np.empty(batch)
+    rows = [rhs[j, ...] for j in range(8)]
+    sums = [total[k, ...] for k in range(8)]
     for column, blades, signs in zip(lhs, _GATHER, tensor[_SIGN_AT].tolist()):
-        for k, (j, sign) in enumerate(zip(blades, signs)):
+        for total_k, j, sign in zip(sums, blades, signs):
             if sign:
-                np.multiply(column, rhs[j], out=term)
-                accumulate = np.add if sign > 0 else np.subtract
-                accumulate(total[k, ...], term, out=total[k, ...])
+                np.multiply(column, rows[j], out=term)
+                (np.add if sign > 0 else np.subtract)(total_k, term, out=total_k)
     return np.moveaxis(total, 0, -1)
 
 
