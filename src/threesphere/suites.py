@@ -54,7 +54,7 @@ __all__ = ["BLOCK", "PropertyCheck", "algebra_suite", "topology_suite", "protoco
 # memory than blocks of 2**10.  Blocks of 2**12 rows, with the suites on
 # two threads, peak at 1.9 (algebra), 2.5 (topology) and 0.7 (protocol) MB
 # of tracemalloc at 10**4 samples; the benchmark's verify-suites peak
-# resident memory rose about 2.5 MB, from 61.5 MB.
+# resident memory rose 2.5 MB, from 61.3 MB.
 BLOCK = 1 << 12
 
 # Coefficient positions of the scalar and the three bivectors in a multivector row.
