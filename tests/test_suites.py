@@ -466,7 +466,11 @@ def test_left_handed_chain_fails_the_factorization_check(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "samples", [1, suites.BLOCK - 1, suites.BLOCK, suites.BLOCK + 1, 10**4]
+    "samples",
+    # 2,047 to 2,049 straddle half a block: the inline path below one block.
+    sorted(
+        {1, 2047, 2048, 2049, suites.BLOCK - 1, suites.BLOCK, suites.BLOCK + 1, 10**4}
+    ),
 )
 def test_every_check_passes_at_block_edges(samples):
     checks = all_checks(samples, seed=3)
