@@ -79,14 +79,22 @@ def _reordering_sign(lhs_mask: int, rhs_mask: int) -> int:
     return -1 if swaps & 1 else 1
 
 
+# e_i e_j is a signed e_k with mask_k = mask_i ^ mask_j: k = _GATHER[i][j], and as XOR
+# is its own inverse, j = _GATHER[i][k].  So for each (i, k) both tensors are nonzero at
+# most at that j; indexing a tensor with _SIGN_AT picks those (8, 8) entries.
+_GATHER = [
+    [_BASIS_MASKS.index(mask_i ^ mask_k) for mask_k in _BASIS_MASKS] for mask_i in _BASIS_MASKS
+]
+_SIGN_AT = (np.arange(8)[:, None], np.array(_GATHER), np.arange(8))
+
+
 def _build_tensors():
     """Signed ``(8, 8, 8)`` Cayley tensors: ``T[i, j, k]`` is the sign of ``e_k`` in ``e_i e_j``."""
-    index_of = {mask: i for i, mask in enumerate(_BASIS_MASKS)}
     product = np.zeros((8, 8, 8))
     exterior = np.zeros((8, 8, 8))
     for i, mask_i in enumerate(_BASIS_MASKS):
         for j, mask_j in enumerate(_BASIS_MASKS):
-            k = index_of[mask_i ^ mask_j]
+            k = _GATHER[i][j]
             sign = _BASIS_SIGNS[i] * _BASIS_SIGNS[j] * _BASIS_SIGNS[k]
             sign *= _reordering_sign(mask_i, mask_j)
             product[i, j, k] = sign
@@ -98,14 +106,6 @@ def _build_tensors():
 
 
 _PRODUCT_TENSOR, _WEDGE_TENSOR = _build_tensors()
-
-# e_i e_j is a signed e_k with mask_k = mask_i ^ mask_j, so for each (i, k)
-# both tensors are nonzero at most at j = _GATHER[i][k]; indexing a tensor
-# with _SIGN_AT picks those (8, 8) entries.
-_GATHER = [
-    [_BASIS_MASKS.index(mask_i ^ mask_k) for mask_k in _BASIS_MASKS] for mask_i in _BASIS_MASKS
-]
-_SIGN_AT = (np.arange(8)[:, None], np.array(_GATHER), np.arange(8))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,14 @@
 """Command-line front end: simulate, scan, chsh, verify.
 
 Angles are taken in degrees at this boundary and converted to radians
-exactly once.  Identical command lines produce byte-identical data
-files; every data file gets a sidecar ``<out>.manifest.json`` recording
-the configuration, the package version, and the wall-clock duration (the
-only place a timestamp appears).  Its ``parameters`` are the parsed
-options under their argparse dest names, plus the angles in radians
-(``alpha_rad``, and ``beta_rad`` for ``simulate``); ``chsh`` records
-``n`` as 0 under ``--analytic``, which evaluates the |Phi+> quantum reference.
+exactly once.  A ``simulate`` row is the one-angle ``scan`` row.
+Identical command lines produce byte-identical data files; every data
+file gets a sidecar ``<out>.manifest.json`` recording the configuration,
+the package version, and the wall-clock duration (the only place a
+timestamp appears).  Its ``parameters`` are the parsed options under
+their argparse dest names, plus the angles in radians (``alpha_rad``,
+and ``beta_rad`` for ``simulate``); ``chsh`` records ``n`` as 0 under
+``--analytic``, which evaluates the |Phi+> quantum reference.
 ``chsh --n`` records ``n`` and evaluates the model's scalar channel
 ``cos 2(alpha-beta)`` without a sign sum.
 
@@ -89,21 +90,15 @@ def _int_in_range(low: int, high=None):
     return parse
 
 
-def _write_estimates(args, beta_deg, omit=()):
-    """Write the rows and manifest of the estimate at ``args.alpha_deg`` and ``beta_deg``.
+def _write_estimates(args, alpha, beta_deg, omit=(), **derived):
+    """Write one row per angle of the array ``beta_deg`` at ``alpha``, and the manifest.
 
-    ``beta_deg`` is one angle, or an array of angles with one row each; one
-    :func:`joint_expectation` and one :func:`quantum_reference` call give
-    every row.  The columns are all but those in ``omit``.  Returns the estimate.
+    One :func:`joint_expectation` and one :func:`quantum_reference` call
+    give every row.  The columns are all but those in ``omit``; ``derived``
+    goes into the manifest after ``alpha_rad``.  Returns the estimate.
     """
     started = time.perf_counter()
-    alpha = PolarizerAngle.from_degrees(args.alpha_deg)
-    derived = {"alpha_rad": alpha.radians}
-    if isinstance(beta_deg, np.ndarray):
-        beta = np.radians(beta_deg)
-    else:
-        beta = PolarizerAngle.from_degrees(beta_deg)
-        derived["beta_rad"] = beta.radians
+    beta = np.radians(beta_deg)
     estimate = joint_expectation(alpha, beta, args.n, args.seed, threads=args.threads)
     reference = quantum_reference(alpha, beta)
     byz, bzx, bxy = estimate.bivector_mean
@@ -121,12 +116,11 @@ def _write_estimates(args, beta_deg, omit=()):
         "n": estimate.trial_count,
         "seed": args.seed,
     }
-    rows = [row]
     arrays = {name: value.tolist() for name, value in row.items() if isinstance(value, np.ndarray)}
-    if arrays:
-        rows = [{**row, **dict(zip(arrays, values))} for values in zip(*arrays.values())]
+    rows = [{**row, **dict(zip(arrays, values))} for values in zip(*arrays.values())]
     fields = [field for field in row if field not in omit]
     write_table(args.out, fields, rows, fmt=args.format)
+    derived = {"alpha_rad": alpha.radians, **derived}
     _manifest(args, started, derived, stream=stream_summary(args.n, args.threads))
     return estimate
 
@@ -148,9 +142,10 @@ def _manifest(args, started: float, derived: dict, **blocks) -> None:
 
 
 def cmd_simulate(args) -> int:
-    estimate = _write_estimates(args, float(args.beta_deg))
+    alpha, beta = map(PolarizerAngle.from_degrees, (args.alpha_deg, args.beta_deg))
+    estimate = _write_estimates(args, alpha, np.array([args.beta_deg]), beta_rad=beta.radians)
     print(
-        f"E({args.alpha_deg:g}, {args.beta_deg:g}) scalar mean {estimate.scalar_mean:.12f} "
+        f"E({args.alpha_deg:g}, {args.beta_deg:g}) scalar mean {estimate.scalar_mean[0]:.12f} "
         f"(n={args.n}) -> {args.out}"
     )
     return 0
@@ -180,7 +175,8 @@ def _scan_betas(start: float, stop: float, step: float) -> list:
 
 def cmd_scan(args) -> int:
     betas = _scan_betas(args.beta_start_deg, args.beta_stop_deg, args.beta_step_deg)
-    _write_estimates(args, np.array(betas), omit=("alpha_deg", "standard_error"))
+    alpha = PolarizerAngle.from_degrees(args.alpha_deg)
+    _write_estimates(args, alpha, np.array(betas), omit=("alpha_deg", "standard_error"))
     print(f"scan: {len(betas)} settings -> {args.out}")
     return 0
 
@@ -246,17 +242,17 @@ def _suite_results(names, samples: int, seed: int):
     worker they run inline.  A suite's exception is raised where its
     results are due, after the earlier suites' results.
     """
+    def run(name):
+        return SUITES[name](samples=samples, seed=seed)
+
     # Below one full block the suites spend their time in the interpreter, so
     # threads only pass the GIL between them: at 1,000 samples they were slower.
     workers = min(len(names), os.cpu_count() or 1) if samples >= BLOCK else 1
     if workers == 1:
-        for name in names:
-            yield name, SUITES[name](samples=samples, seed=seed)
+        yield from zip(names, map(run, names))
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(SUITES[name], samples=samples, seed=seed) for name in names]
-        for name, future in zip(names, futures):
-            yield name, future.result()
+        yield from zip(names, pool.map(run, names))
 
 
 def cmd_verify(args) -> int:

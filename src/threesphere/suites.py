@@ -8,6 +8,9 @@ tolerance.
 A suite is one ``block(start, size)`` function, drawing each kind of
 instance once per block of :data:`BLOCK` rows, and one ordered ``(name,
 tolerance)`` table; a check keeps its worst residual over the blocks.
+The protocol block also reads its part of the orientation stream twice
+and sums it with the kernel behind ``simulate`` and ``scan``; the
+balance check is that kernel's one sum over the whole stream.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .algebra import (
 from .protocol import (
     alice_outcome,
     bob_outcome,
+    handedness_sign_sum,
     handedness_signs,
     joint_product_closed_form,
 )
@@ -73,20 +77,15 @@ class PropertyCheck:
         return self.max_residual <= self.tolerance
 
 
-def _blocks(samples: int):
-    """``(start, size)`` of the blocks that cover ``samples`` instances."""
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    for start in range(0, samples, BLOCK):
-        yield start, min(BLOCK, samples - start)
-
-
 def _worst(samples: int, block) -> list:
-    """Per-check maxima of the residuals ``block(start, size)`` returns for each block.
+    """Per-check maxima of ``block(start, size)``'s residuals over the blocks of ``samples``.
 
     ``np.max`` keeps a NaN residual, which then fails its check.
     """
-    return np.max([block(start, size) for start, size in _blocks(samples)], axis=0).tolist()
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    starts = range(0, samples, BLOCK)
+    return np.max([block(start, min(BLOCK, samples - start)) for start in starts], axis=0).tolist()
 
 
 def _checks(residuals, *table) -> list:
@@ -117,13 +116,8 @@ def algebra_suite(samples: int = 1000, seed: int = 0) -> list:
         generic = _gap(bivector_identity_residual(signs, a, b), 0.0)
         flip = _gap(dual_bivector(LEFT_HANDED, a) + dual_bivector(RIGHT_HANDED, a), 0.0)
         del vectors, a, b, dot_plus_wedge
-        j, k = rng.integers(3, size=(2, size))
-        ej, ek = np.eye(3)[j], np.eye(3)[k]
-        basis_rule = even_product(dual_bivector(signs, ej), dual_bivector(signs, ek))
-        basis_rule[:, 0] += j == k
-        basis_rule += dual_bivector(signs, signs[:, None] * np.cross(ej, ek))
-        basis = _gap(basis_rule, 0.0)
-        del ej, ek, basis_rule
+        jk = rng.integers(3, size=(2, size))
+        basis = _gap(bivector_identity_residual(signs, *np.eye(3)[jk]), 0.0)
         embedded = np.zeros((2, size, 8))
         embedded[..., _EVEN] = rng.standard_normal((2, size, 4))
         full = geometric_product(*embedded)
@@ -205,22 +199,18 @@ def protocol_suite(samples: int = 1000, seed: int = 0) -> list:
         signs = _random_signs(rng, size)
         alice = alice_outcome(alpha, signs)
         direct = oriented_even_product(signs, alice, bob_outcome(beta, signs))
+        stream = handedness_signs(seed, size, start)
+        sum_gap = abs(int(stream.sum()) - handedness_sign_sum(seed, size, start))
         return (
             _gap(direct, joint_product_closed_form(alpha, beta, signs)),
             max(_gap(alice[:, 0], 0.0), _gap(np.sum(alice * alice, axis=1), 1.0)),
             _gap(np.sum(direct * direct, axis=1), 1.0),
             _gap(alice, alice_outcome(alpha + math.pi, signs)),
+            max(_gap(stream, handedness_signs(seed, size, start)), sum_gap),
         )
 
-    # The balance check is a sum over the stream, not a maximum over blocks.
-    repeat_gap, total = 0.0, 0
-    for start, size in _blocks(samples):
-        first = handedness_signs(seed, size, start)
-        repeat_gap = max(repeat_gap, _gap(first, handedness_signs(seed, size, start)))
-        total += int(first.sum())
-
     return _checks(
-        [*_worst(samples, block), repeat_gap, abs(total) / samples],
+        [*_worst(samples, block), abs(handedness_sign_sum(seed, samples)) / samples],
         ("closed form matches the direct outcome product", 1e-12),
         ("outcomes sit on the equator of the 3-sphere", 1e-12),
         ("outcome products stay on the 3-sphere", 1e-12),

@@ -89,7 +89,8 @@ def test_traced_verify_counts_every_instance_and_one_protocol_pipeline_per_block
 
         return counted
 
-    pipeline = ("alice_outcome", "bob_outcome", "oriented_even_product", "joint_product_closed_form")
+    pipeline = ("alice_outcome", "bob_outcome", "oriented_even_product", "joint_product_closed_form",
+                "handedness_signs")
     for name in pipeline:
         monkeypatch.setattr(suites, name, counting(name))
     samples = 2 * suites.BLOCK
@@ -103,6 +104,7 @@ def test_traced_verify_counts_every_instance_and_one_protocol_pipeline_per_block
     metrics = instrument.job_metrics(job_spans, aggregates)
     assert metrics["suites.instances"] == 19 * samples
     assert metrics["suites.checks_failed"] == 0
-    # Two blocks; the half-turn check is the only second alice_outcome call.
+    # Two blocks; the half-turn check is the only second alice_outcome call, and
+    # the stream check reads each block's signs twice.
     assert calls == {"alice_outcome": 4, "bob_outcome": 2, "oriented_even_product": 2,
-                     "joint_product_closed_form": 2}
+                     "joint_product_closed_form": 2, "handedness_signs": 4}

@@ -281,25 +281,32 @@ def test_scan_tabulates_the_reference_values(tmp_path):
     assert rows[2]["scalar_mean"] == -1.0
 
 
-def _csv_fields(path):
-    """The rows of a CSV data file as written, one ``{column: text}`` dict each."""
-    with open(path, newline="") as handle:
-        return list(csv.DictReader(handle))
+def _row_texts(path, fmt):
+    """The rows of a data file as written, one ``{column: text}`` dict each.
+
+    A CSV cell and the ``repr`` of a JSON number are 17-digit texts that
+    round-trip their float, so equal text is equal bits.
+    """
+    if fmt == "csv":
+        with open(path, newline="") as handle:
+            return list(csv.DictReader(handle))
+    rows = json.loads(Path(path).read_text())["rows"]
+    return [{name: repr(value) for name, value in row.items()} for row in rows]
 
 
-def test_every_scan_row_equals_the_simulate_row_bit_for_bit(tmp_path):
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_every_scan_row_equals_the_simulate_row_bit_for_bit(tmp_path, fmt):
     # One array estimate gives the scan; one pair each gives the simulate rows.
-    # The 17-digit text of a float round-trips it, so equal text is equal bits.
-    common = ("--alpha-deg", 17, "--n", 3000, "--seed", 9)
-    scan = tmp_path / "scan.csv"
+    common = ("--alpha-deg", 17, "--n", 3000, "--seed", 9, "--format", fmt)
+    scan = tmp_path / f"scan.{fmt}"
     assert run("scan", *common, "--beta-start", 0, "--beta-stop", 180, "--beta-step", 5,
                "--out", scan) == 0
-    rows = _csv_fields(scan)
-    assert [row["beta_deg"] for row in rows] == [str(5 * k) for k in range(37)]
+    rows = _row_texts(scan, fmt)
+    assert [float(row["beta_deg"]) for row in rows] == [5.0 * k for k in range(37)]
     for k, row in enumerate(rows):
-        out = tmp_path / f"sim{k}.csv"
+        out = tmp_path / f"sim{k}.{fmt}"
         assert run("simulate", *common, "--beta-deg", row["beta_deg"], "--out", out) == 0
-        (simulated,) = _csv_fields(out)
+        (simulated,) = _row_texts(out, fmt)
         assert {name: simulated[name] for name in row} == row
 
 

@@ -446,6 +446,20 @@ def test_unsigned_bob_outcome_fails_the_closed_form_check(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "verify: FAILURES above"
 
 
+def test_sign_sum_kernel_off_by_two_fails_the_stream_check(monkeypatch, capsys):
+    exact = suites.handedness_sign_sum
+
+    def off_by_two(seed, count, start=0):
+        return exact(seed, count, start) + 2
+
+    monkeypatch.setattr(suites, "handedness_sign_sum", off_by_two)
+    assert failing() == {"orientation stream repeats for a fixed seed"}
+    assert main(["verify", "protocol", "--samples", "200"]) == 1
+    line = ("[protocol] orientation stream repeats for a fixed seed: max residual 2.000e+00 "
+            "(tol 0.0e+00) FAIL")
+    assert line in capsys.readouterr().out.splitlines()
+
+
 def test_left_handed_chain_fails_the_factorization_check(monkeypatch, capsys):
     def flipped(lhs, rhs):
         return algebra.oriented_even_product(LEFT_HANDED, lhs, rhs)
