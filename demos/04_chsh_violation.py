@@ -42,9 +42,10 @@ print(
     f"{best.beta.degrees:.6g}, {best.beta_prime.degrees:.6g}) degrees"
 )
 
-# Monte Carlo with a million shared-orientation trials per setting: the
-# scalar channel is per-trial constant, so the estimate hits the same
-# value at any seed.
+# Monte Carlo: chsh_value calls the correlation once, on radian arrays, so
+# one joint_expectation gives all four settings from one sign sum of a
+# million shared-orientation trials.  The scalar channel is per-trial
+# constant, so the estimate hits the same value at any seed.
 def monte_carlo(alpha, beta):
     return joint_expectation(alpha, beta, 10**6, seed=99).scalar_mean
 

@@ -42,8 +42,9 @@ import numpy as np
 from . import __version__
 from .correlations import (
     ChshSettings,
+    _chsh,
+    _chsh_terms,
     chsh_maximize,
-    chsh_value,
     _scalar_channel,
     joint_expectation,
     quantum_reference,
@@ -199,31 +200,20 @@ def cmd_chsh(args) -> int:
     n = 0 if args.analytic else args.n
 
     if args.maximize:
-        settings, value = chsh_maximize(math.radians(args.step_deg), correlation)
-        angles = (settings.alpha, settings.alpha_prime, settings.beta, settings.beta_prime)
-        degrees = [angle.degrees for angle in angles]
+        settings, _ = chsh_maximize(math.radians(args.step_deg), correlation)
+        degrees = [angle.degrees for angle in vars(settings).values()]
     else:
         # The given angles are written as given, not read back from radians.
         degrees = args.angles_deg
         settings = ChshSettings(*map(PolarizerAngle.from_degrees, degrees))
-        value = chsh_value(settings, correlation)
-
-    a, ap, b, bp = degrees
+    # One correlation call gives the row's four terms; the value is their combination.
+    e = _chsh_terms(settings, correlation)
     row = {
-        "alpha_deg": a,
-        "alpha_prime_deg": ap,
-        "beta_deg": b,
-        "beta_prime_deg": bp,
-        "e_ab": correlation(settings.alpha, settings.beta),
-        "e_ab_prime": correlation(settings.alpha, settings.beta_prime),
-        "e_aprime_b": correlation(settings.alpha_prime, settings.beta),
-        "e_aprime_bprime": correlation(settings.alpha_prime, settings.beta_prime),
-        "chsh_value": value,
-        "method": method,
-        "n": n,
-        "seed": args.seed,
+        **dict(zip(("alpha_deg", "alpha_prime_deg", "beta_deg", "beta_prime_deg"), degrees)),
+        **dict(zip(("e_ab", "e_ab_prime", "e_aprime_b", "e_aprime_bprime"), e.ravel().tolist())),
+        "chsh_value": _chsh(e), "method": method, "n": n, "seed": args.seed,
     }
-    print(f"CHSH = {value:.10f} ({method})")
+    print(f"CHSH = {row['chsh_value']:.10f} ({method})")
     if args.maximize:
         print(
             "settings: alpha={alpha_deg:.6g} alpha'={alpha_prime_deg:.6g} "

@@ -17,8 +17,10 @@ sum for every angle pair, so a scan makes one sum.  ``chsh --n`` makes none:
 it reads only the scalar channel, ``cos 2(a-b)``, and evaluates that.  The
 check on the model, :func:`quantum_reference`, comes from the photon state.
 
-:func:`chsh_maximize` fills the grid's correlation matrix with one call of
-the correlation on radian arrays, then searches it one of two ways.  On a
+A correlation is a function of two radian arrays, called once:
+:func:`chsh_value` calls it on the column ``[alpha, alpha']`` and the row
+``[beta, beta']``, and :func:`chsh_maximize` fills the grid's correlation
+matrix with one call, then searches it one of two ways.  On a
 grid that wraps around the half turn, a shift-invariant correlation such
 as ``cos 2(a-b)`` gives a circulant matrix; the search checks that
 property in the matrix itself and then fixes one setting, which costs
@@ -231,15 +233,25 @@ def quantum_reference(alpha, beta):
     return _channel(result)
 
 
+def _chsh_terms(settings: ChshSettings, correlation):
+    """The ``(2, 2)`` terms ``E[i, j]`` of ``[alpha, alpha']`` by ``[beta, beta']``, one call."""
+    column = np.array([[settings.alpha.radians], [settings.alpha_prime.radians]])
+    row = np.array([[settings.beta.radians, settings.beta_prime.radians]])
+    return np.broadcast_to(np.asarray(correlation(column, row), dtype=float), (2, 2))
+
+
+def _chsh(e) -> float:
+    """``|E[a,b] + E[a,b'] + E[a',b] - E[a',b']|`` of the ``(2, 2)`` array ``e``."""
+    return float(abs(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1]))
+
+
 def chsh_value(settings: ChshSettings, correlation) -> float:
-    """Four-setting CHSH combination, minus sign on the primed-primed term."""
-    e = correlation
-    return abs(
-        e(settings.alpha, settings.beta)
-        + e(settings.alpha, settings.beta_prime)
-        + e(settings.alpha_prime, settings.beta)
-        - e(settings.alpha_prime, settings.beta_prime)
-    )
+    """Four-setting CHSH combination, minus sign on the primed-primed term.
+
+    ``correlation`` is called once, on the ``(2, 1)`` radian column ``[alpha,
+    alpha']`` and the ``(1, 2)`` row ``[beta, beta']``; its result broadcasts to ``(2, 2)``.
+    """
+    return _chsh(_chsh_terms(settings, correlation))
 
 
 # Finest supported grid.  With the analytic correlation on a 2-vCPU x86-64
@@ -293,13 +305,11 @@ def _column_search(matrix, columns, plus, minus) -> tuple:
         b_pos = int(np.argmax(pos))
         b_neg = int(np.argmax(neg))
         if pos[b_pos] > best_value:
-            b = b_pos
-            best_value = float(pos[b])
-            best = (int(np.argmax(plus[:, b])), int(np.argmax(minus[:, b])), b, bp)
+            best_value = float(pos[b_pos])
+            best = (int(np.argmax(plus[:, b_pos])), int(np.argmax(minus[:, b_pos])), b_pos, bp)
         if neg[b_neg] > best_value:
-            b = b_neg
-            best_value = float(neg[b])
-            best = (int(np.argmin(plus[:, b])), int(np.argmin(minus[:, b])), b, bp)
+            best_value = float(neg[b_neg])
+            best = (int(np.argmin(plus[:, b_neg])), int(np.argmin(minus[:, b_neg])), b_neg, bp)
     return best
 
 
@@ -333,8 +343,8 @@ def chsh_maximize(resolution: float, correlation) -> tuple:
 
     Both find the largest value, the shift search to within
     ``8 * _SHIFT_TOLERANCE``; on ties they may pick different settings.
-    Returns the maximizing settings and the value, summed from the matrix
-    in the order of :func:`chsh_value`.
+    Returns the maximizing settings and their value, combined from the
+    matrix entries as :func:`chsh_value` combines its four terms.
     """
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise ValueError(f"grid step must be positive and finite, got {resolution!r} rad")
@@ -355,5 +365,4 @@ def chsh_maximize(resolution: float, correlation) -> tuple:
         columns = range(1) if _circulant(matrix, plus) else _exhaustive(m)
     ia, iap, ib, ibp = _column_search(matrix, columns, plus, minus)
     settings = ChshSettings(*(PolarizerAngle(thetas[i]) for i in (ia, iap, ib, ibp)))
-    value = abs(matrix[ia, ib] + matrix[ia, ibp] + matrix[iap, ib] - matrix[iap, ibp])
-    return settings, float(value)
+    return settings, _chsh(matrix[np.ix_((ia, iap), (ib, ibp))])

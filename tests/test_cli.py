@@ -544,6 +544,48 @@ def test_chsh_maximize_at_quarter_degree_saturates_the_bound(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "mode, most",
+    [(("--angles-deg", 0, -45, -22.5, 22.5), 1), (("--maximize", "--step-deg", 22.5), 2)],
+)
+def test_chsh_evaluates_the_reference_once_after_choosing_the_settings(monkeypatch, mode, most):
+    """One call gives the row; ``--maximize`` adds only the call that fills its grid."""
+    calls = []
+    reference = cli.quantum_reference
+
+    def counted(alpha, beta):
+        calls.append(1)
+        return reference(alpha, beta)
+
+    monkeypatch.setattr(cli, "quantum_reference", counted)
+    assert run("chsh", *mode, "--analytic") == 0
+    assert 1 <= len(calls) <= most
+
+
+@pytest.mark.parametrize("drift", [0.0, 1e-3])
+@pytest.mark.parametrize("source", [("--analytic",), ("--n", 1000)])
+@pytest.mark.parametrize(
+    "mode", [("--angles-deg", 0.1, "-1e3", 1 / 3, 22.5), ("--maximize", "--step-deg", 7)]
+)
+def test_the_chsh_value_is_the_combination_of_its_row_bit_for_bit(
+    monkeypatch, tmp_path, mode, source, drift
+):
+    """Also for a correlation that moves from call to call, as a fresh estimate would."""
+    name = "quantum_reference" if "--analytic" in source else "_scalar_channel"
+    correlation, calls = getattr(cli, name), []
+
+    def drifting(alpha, beta):
+        calls.append(1)
+        return correlation(alpha, beta) + drift * len(calls)
+
+    monkeypatch.setattr(cli, name, drifting)
+    out = tmp_path / "chsh.csv"
+    assert run("chsh", *mode, *source, "--out", out) == 0
+    (row,) = read_table(out)
+    terms = row["e_ab"] + row["e_ab_prime"] + row["e_aprime_b"] - row["e_aprime_bprime"]
+    assert row["chsh_value"] == abs(terms)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("chsh", "--angles-deg", 0, -45, -22.5, 22.5, "--n", 100000),

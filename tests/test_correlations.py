@@ -309,6 +309,23 @@ def test_chsh_with_repeated_rows_never_exceeds_two():
         assert chsh_value(settings, quantum_reference) <= 2.0 + 1e-12
 
 
+def test_chsh_value_calls_the_correlation_once_on_a_radian_column_and_row():
+    calls = []
+
+    def recorded(alpha, beta):
+        calls.append((alpha, beta))
+        return quantum_reference(alpha, beta)
+
+    settings = ChshSettings(deg(0.0), deg(-45.0), deg(-22.5), deg(22.5))
+    value = chsh_value(settings, recorded)
+    ((alpha, beta),) = calls
+    assert alpha.shape == (2, 1) and beta.shape == (1, 2)
+    assert alpha.dtype == beta.dtype == np.float64
+    assert alpha[:, 0].tolist() == [settings.alpha.radians, settings.alpha_prime.radians]
+    assert beta[0].tolist() == [settings.beta.radians, settings.beta_prime.radians]
+    assert abs(value - TSIRELSON) <= 1e-9
+
+
 def test_chsh_bound_holds_for_random_quadruples():
     rng = np.random.default_rng(1)
     for _ in range(10**5):
@@ -331,11 +348,6 @@ def brute_force_maximum(resolution, correlation):
     e = np.array([[correlation(a, b) for b in thetas] for a in thetas], dtype=float)
     a, ap, b, bp = np.ix_(*[range(m)] * 4)
     return float(np.abs(e[a, b] + e[a, bp] + e[ap, b] - e[ap, bp]).max())
-
-
-def on_angles(correlation):
-    """The radian-array ``correlation`` as a function of two :class:`PolarizerAngle`."""
-    return lambda a, b: float(correlation(a.radians, b.radians))
 
 
 def sawtooth(alpha, beta):
@@ -364,7 +376,7 @@ def assert_matches_brute_force(correlation):
         resolution = math.radians(step_deg)
         settings, value = chsh_maximize(resolution, correlation)
         assert value == pytest.approx(brute_force_maximum(resolution, correlation), abs=1e-12)
-        assert chsh_value(settings, on_angles(correlation)) == pytest.approx(value, abs=1e-12)
+        assert chsh_value(settings, correlation) == pytest.approx(value, abs=1e-12)
 
 
 def test_grid_search_matches_brute_force_for_the_reference():
@@ -428,7 +440,7 @@ def test_a_perturbed_circulant_matrix_takes_the_exhaustive_scan(monkeypatch):
     expected = brute_force_maximum(resolution, perturbed)
     assert expected > TSIRELSON + 5e-10
     assert value == pytest.approx(expected, abs=1e-12)
-    assert chsh_value(settings, on_angles(perturbed)) == pytest.approx(value, abs=1e-12)
+    assert chsh_value(settings, perturbed) == pytest.approx(value, abs=1e-12)
 
 
 @pytest.mark.parametrize("correlation, bound", [(quantum_reference, TSIRELSON), (sawtooth, 2.0)])
@@ -442,7 +454,7 @@ def test_shift_search_and_exhaustive_scan_agree_at_three_quarter_degree(
     _, exhaustive_value = chsh_maximize(resolution, correlation)
     assert searched == [1, 240]
     assert shift_value == pytest.approx(exhaustive_value, abs=1e-12)
-    assert chsh_value(shift_settings, on_angles(correlation)) == pytest.approx(shift_value, abs=1e-12)
+    assert chsh_value(shift_settings, correlation) == pytest.approx(shift_value, abs=1e-12)
     if correlation is quantum_reference:
         assert abs(shift_value - TSIRELSON) <= 1e-12
     assert shift_value <= bound + 1e-12
