@@ -7,10 +7,8 @@ file gets a sidecar ``<out>.manifest.json`` recording the configuration,
 the package version, and the wall-clock duration (the only place a
 timestamp appears).  Its ``parameters`` are the parsed options under
 their argparse dest names, plus the angles in radians (``alpha_rad``,
-and ``beta_rad`` for ``simulate``); ``chsh`` records ``n`` as 0 under
-``--analytic``, which evaluates the |Phi+> quantum reference.
-``chsh --n`` records ``n`` and evaluates the model's scalar channel
-``cos 2(alpha-beta)`` without a sign sum.
+and ``beta_rad`` for ``simulate``).  ``chsh`` evaluates the |Phi+> quantum
+reference, draws no trials, records ``n`` as 0 and only echoes ``--seed``.
 
 Exit codes: 0 success, 1 runtime or property failure, 2 usage error.
 Every numeric input has a bounded range: ``--n`` runs from 1 to
@@ -45,7 +43,6 @@ from .correlations import (
     _chsh,
     _chsh_terms,
     chsh_maximize,
-    _scalar_channel,
     joint_expectation,
     quantum_reference,
     stream_summary,
@@ -185,35 +182,26 @@ def cmd_scan(args) -> int:
 def cmd_chsh(args) -> int:
     if bool(args.angles_deg) == bool(args.maximize):
         raise UsageError("give exactly one of four angles or --maximize")
-    if args.analytic == (args.n is not None):
-        raise UsageError("give exactly one of --analytic or --n")
     if args.maximize and args.step_deg is None:
         raise UsageError("--maximize needs --step-deg")
     if args.step_deg is not None and not args.maximize:
         raise UsageError("--step-deg needs --maximize")
     started = time.perf_counter()
-
-    # The model's scalar channel is cos 2(a-b) at every seed and n, and no
-    # output reads the sign sum, so --n evaluates that channel and records n.
-    correlation = quantum_reference if args.analytic else _scalar_channel
-    method = "analytic" if args.analytic else "monte-carlo"
-    n = 0 if args.analytic else args.n
-
     if args.maximize:
-        settings, _ = chsh_maximize(math.radians(args.step_deg), correlation)
+        settings, _ = chsh_maximize(math.radians(args.step_deg), quantum_reference)
         degrees = [angle.degrees for angle in vars(settings).values()]
     else:
         # The given angles are written as given, not read back from radians.
         degrees = args.angles_deg
         settings = ChshSettings(*map(PolarizerAngle.from_degrees, degrees))
     # One correlation call gives the row's four terms; the value is their combination.
-    e = _chsh_terms(settings, correlation)
+    e = _chsh_terms(settings, quantum_reference)
     row = {
         **dict(zip(("alpha_deg", "alpha_prime_deg", "beta_deg", "beta_prime_deg"), degrees)),
         **dict(zip(("e_ab", "e_ab_prime", "e_aprime_b", "e_aprime_bprime"), e.ravel().tolist())),
-        "chsh_value": _chsh(e), "method": method, "n": n, "seed": args.seed,
+        "chsh_value": _chsh(e), "method": "analytic", "n": 0, "seed": args.seed,
     }
-    print(f"CHSH = {row['chsh_value']:.10f} ({method})")
+    print(f"CHSH = {row['chsh_value']:.10f} (analytic)")
     if args.maximize:
         print(
             "settings: alpha={alpha_deg:.6g} alpha'={alpha_prime_deg:.6g} "
@@ -221,7 +209,7 @@ def cmd_chsh(args) -> int:
         )
     if args.out:
         write_table(args.out, list(row), [row], fmt=args.format)
-        _manifest(args, started, {"n": n})
+        _manifest(args, started, {"n": 0})
     return 0
 
 
@@ -269,23 +257,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out: bool, default_n=10000):
+    def common(p, needs_out: bool):
+        p.add_argument("--seed", type=_int_in_range(0, MAX_SEED), default=0, help="stream seed")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", required=needs_out, help="output data file")
+
+    def trials(p):
         p.add_argument(
-            "--n", type=_int_in_range(1, MAX_TRIALS), default=default_n,
+            "--n", type=_int_in_range(1, MAX_TRIALS), default=10000,
             help=f"trials per estimate, 1 to {MAX_TRIALS:.0e}",
         )
-        p.add_argument("--seed", type=_int_in_range(0, MAX_SEED), default=0, help="stream seed")
         p.add_argument(
             "--threads", type=_int_in_range(1), default=1,
             help="worker threads for the trial range, at least 1; capped at the CPU count",
         )
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", required=needs_out, help="output data file")
+        common(p, needs_out=True)
 
     sim = sub.add_parser("simulate", help="one joint-correlation estimate")
     sim.add_argument("--alpha-deg", type=float, required=True)
     sim.add_argument("--beta-deg", type=float, required=True)
-    common(sim, needs_out=True)
+    trials(sim)
     sim.set_defaults(func=cmd_simulate)
 
     scan = sub.add_parser("scan", help="joint correlation across a beta range")
@@ -295,15 +286,15 @@ def build_parser() -> argparse.ArgumentParser:
             f"--beta-{part}", dest=f"beta_{part}_deg", metavar=f"BETA_{part.upper()}",
             type=float, required=True, help="degrees",
         )
-    common(scan, needs_out=True)
+    trials(scan)
     scan.set_defaults(func=cmd_scan)
 
     chsh = sub.add_parser("chsh", help="CHSH combination at four settings or its grid maximum")
     chsh.add_argument("--angles-deg", type=float, nargs=4, metavar=("A", "AP", "B", "BP"))
     chsh.add_argument("--maximize", action="store_true", help="grid-search all quadruples")
     chsh.add_argument("--step-deg", type=float, help="grid step for --maximize (degrees)")
-    chsh.add_argument("--analytic", action="store_true", help="use the analytic correlation")
-    common(chsh, needs_out=False, default_n=None)
+    chsh.add_argument("--analytic", action="store_true", required=True, help="the |Phi+> reference")
+    common(chsh, needs_out=False)
     chsh.set_defaults(func=cmd_chsh)
 
     verify = sub.add_parser("verify", help="run an identity suite and report residuals")

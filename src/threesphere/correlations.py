@@ -13,9 +13,8 @@ the orientation draws in fixed chunks, so memory does not grow with the
 trial count.  :func:`sign_sum_plan` splits the trial range into shards of
 whole chunks, one per worker thread, with at most one worker per CPU and
 per chunk.  Given radian arrays, :func:`joint_expectation` makes one sign
-sum for every angle pair, so a scan makes one sum.  ``chsh --n`` makes none:
-it reads only the scalar channel, ``cos 2(a-b)``, and evaluates that.  The
-check on the model, :func:`quantum_reference`, comes from the photon state.
+sum for every angle pair, so a scan makes one sum.  The check on the model,
+:func:`quantum_reference`, comes from the photon state; ``chsh`` evaluates it.
 
 A correlation is a function of two radian arrays, called once:
 :func:`chsh_value` calls it on the column ``[alpha, alpha']`` and the row
@@ -65,8 +64,8 @@ __all__ = [
 class CorrelationEstimate:
     """Componentwise Monte Carlo average of even-element outcomes.
 
-    The scalar channel is ``cos 2(alpha-beta)`` by construction, hence exact;
-    ``chsh --n`` reads only it.  The bivector channel is the mean +1/-1 sign
+    The scalar channel is ``cos 2(alpha-beta)`` by construction, hence exact
+    and independent of the draws.  The bivector channel is the mean +1/-1 sign
     times ``sin 2(alpha-beta)``; ``standard_error`` is its envelope
     ``1/sqrt(trial_count)``.  Each channel is a float or an array.
     """
@@ -191,15 +190,10 @@ def joint_expectation(alpha, beta, n: int, seed: int, threads: int = 1) -> Corre
     mean_sign = _mean_sign(n, seed, threads)
     d = 2.0 * (_radians(alpha) - _radians(beta))
     return CorrelationEstimate(
-        scalar_mean=_scalar_channel(alpha, beta),
+        scalar_mean=np.cos(d),
         bivector_mean=(0.0, 0.0, mean_sign * np.sin(d)),
         trial_count=n,
     )
-
-
-def _scalar_channel(alpha, beta):
-    """The bivector model's scalar channel ``cos 2(alpha - beta)``, a float or an array."""
-    return _channel(np.cos(2.0 * (_radians(alpha) - _radians(beta))))
 
 
 _PAULI = np.array([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]])  # sigma_z, sigma_x
@@ -237,7 +231,9 @@ def _chsh_terms(settings: ChshSettings, correlation):
     """The ``(2, 2)`` terms ``E[i, j]`` of ``[alpha, alpha']`` by ``[beta, beta']``, one call."""
     column = np.array([[settings.alpha.radians], [settings.alpha_prime.radians]])
     row = np.array([[settings.beta.radians, settings.beta_prime.radians]])
-    return np.broadcast_to(np.asarray(correlation(column, row), dtype=float), (2, 2))
+    e = np.empty((2, 2))
+    e[...] = correlation(column, row)
+    return e
 
 
 def _chsh(e) -> float:

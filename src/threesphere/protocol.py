@@ -150,7 +150,7 @@ def _radians(theta):
     if isinstance(theta, PolarizerAngle):
         return theta.radians
     radians = np.asarray(theta, dtype=float)
-    if not np.all(np.isfinite(radians)):
+    if not np.isfinite(radians).all():
         raise ValueError("angles must be finite")
     return radians
 

@@ -47,7 +47,7 @@ def test_package_names_come_from_disjoint_layer_lists():
             assert getattr(threesphere, name) is getattr(layer, name), name
 
 
-@pytest.mark.parametrize("source", [("--analytic",), ("--n", "1000")])
+@pytest.mark.parametrize("source", [("--analytic",)])
 def test_traced_grid_search_runs_with_real_wrappers(monkeypatch, tmp_path, source):
     """The tracer's wrappers, around ``cli.quantum_reference`` too, pass radian arrays through."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -65,9 +65,8 @@ def test_traced_grid_search_runs_with_real_wrappers(monkeypatch, tmp_path, sourc
     (job_spans, aggregates), = tracer.by_job().values()
     metrics = instrument.job_metrics(job_spans, aggregates)
     assert metrics["correlations.chsh_grid_points"] == 8
-    # One array call of the quantum reference fills the grid under --analytic;
-    # --n fills it from the model's scalar channel and never calls the reference.
-    assert metrics["correlations.chsh_correlation_calls"] == (1 if source[0] == "--analytic" else 0)
+    # One array call of the quantum reference fills the grid.
+    assert metrics["correlations.chsh_correlation_calls"] == 1
 
 
 def test_traced_verify_counts_every_instance_and_one_protocol_pipeline_per_block(

@@ -102,7 +102,7 @@ def test_trial_counts_above_the_maximum_are_usage_errors(tmp_path, n):
     assert run("simulate", "--alpha-deg", 0, "--beta-deg", 0, "--n", n, "--out", out) == 2
     assert run("scan", "--alpha-deg", 0, "--beta-start", 0, "--beta-stop", 0, "--beta-step", 1,
                "--n", n, "--out", out) == 2
-    assert run("chsh", "--angles-deg", 0, 1, 2, 3, "--n", n) == 2
+    assert run("chsh", "--angles-deg", 0, 1, 2, 3, "--analytic", "--n", n, "--out", out) == 2
     assert not out.exists()
 
 
@@ -122,7 +122,7 @@ def test_seeds_outside_the_uint64_range_are_usage_errors(tmp_path, capsys):
         assert run("simulate", "--alpha-deg", 0, "--beta-deg", 0, "--seed", seed, "--out", out) == 2
         assert run("scan", "--alpha-deg", 0, "--beta-start", 0, "--beta-stop", 0, "--beta-step", 1,
                    "--seed", seed, "--out", out) == 2
-        assert run("chsh", "--angles-deg", 0, 1, 2, 3, "--n", 10, "--seed", seed) == 2
+        assert run("chsh", "--angles-deg", 0, 1, 2, 3, "--analytic", "--seed", seed) == 2
         assert run("verify", "protocol", "--samples", 1, "--seed", seed) == 2
         message = f"argument --seed: must be at least 0 and at most {MAX_SEED}, got {seed}"
         assert capsys.readouterr().err.count(message) == 4
@@ -182,7 +182,7 @@ def test_unknown_arguments_exit_with_usage_error():
 
 def test_the_parser_is_built_once_and_keeps_no_state_between_calls():
     assert cli.build_parser() is cli.build_parser()
-    assert run("chsh", "--angles-deg", 0, 1, 2, 3, "--n", 0) == 2
+    assert run("chsh", "--angles-deg", 0, 1, 2, 3, "--analytic", "--seed", -1) == 2
     assert run("chsh", "--angles-deg", 0, 1, 2, 3, "--analytic") == 0
 
 
@@ -221,15 +221,14 @@ def test_manifests_record_every_parsed_option(tmp_path, monkeypatch, capsys):
             },
         ),
         (
-            ("chsh", "--angles-deg", 0, -45, -22.5, 22.5, "--n", 1000, "--out", "chsh.csv"),
+            ("chsh", "--angles-deg", 0, -45, -22.5, 22.5, "--analytic", "--out", "chsh.csv"),
             {
                 "angles_deg": [0.0, -45.0, -22.5, 22.5],
                 "maximize": False,
                 "step_deg": None,
-                "analytic": False,
-                "n": 1000,
+                "analytic": True,
+                "n": 0,
                 "seed": 0,
-                "threads": 1,
                 "format": "csv",
                 "out": "chsh.csv",
             },
@@ -243,7 +242,6 @@ def test_manifests_record_every_parsed_option(tmp_path, monkeypatch, capsys):
                 "analytic": True,
                 "n": 0,
                 "seed": 0,
-                "threads": 1,
                 "format": "csv",
                 "out": "max.csv",
             },
@@ -318,7 +316,7 @@ def test_every_scan_row_equals_the_simulate_row_bit_for_bit(tmp_path, fmt):
         ("scan", "--alpha-deg={}", "--beta-start", 0, "--beta-stop", 10, "--beta-step", 5,
          "--n", 10),
         ("chsh", "--angles-deg", 0, -45, "{}", 22.5, "--analytic"),
-        ("chsh", "--angles-deg", "{}", -45, -22.5, 22.5, "--n", 10),
+        ("chsh", "--angles-deg", "{}", -45, -22.5, 22.5, "--analytic"),
     ],
 )
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -502,29 +500,17 @@ def test_chsh_analytic_with_equal_angles(capsys):
     assert "2.0000000000" in capsys.readouterr().out
 
 
-def test_chsh_monte_carlo_matches_the_bound(tmp_path):
-    out = tmp_path / "chsh.csv"
-    assert run("chsh", "--angles-deg", 0, -45, -22.5, 22.5, "--n", 10000, "--seed", 3,
-               "--out", out) == 0
-    (row,) = read_table(out)
-    assert abs(row["chsh_value"] - TSIRELSON) <= 0.01
-    assert row["method"] == "monte-carlo"
-    assert row["n"] == 10000
-
-
 def test_chsh_monte_carlo_reads_the_model_and_analytic_reads_the_state(tmp_path):
+    """``chsh`` reads the state; its terms are within 1e-15 of the model's scalar mean."""
     angles = (0, -45, -22.5, 22.5)
     pairs = {"e_ab": (0, 2), "e_ab_prime": (0, 3), "e_aprime_b": (1, 2), "e_aprime_bprime": (1, 3)}
     settings = [PolarizerAngle.from_degrees(angle) for angle in angles]
-    rows = {}
-    for source in (("--n", 1000), ("--analytic",)):
-        out = tmp_path / f"{source[0][2:]}.csv"
-        assert run("chsh", "--angles-deg", *angles, *source, "--out", out) == 0
-        (rows[source[0]],) = read_table(out)
+    out = tmp_path / "chsh.csv"
+    assert run("chsh", "--angles-deg", *angles, "--analytic", "--out", out) == 0
+    (row,) = read_table(out)
     for column, (i, j) in pairs.items():
         model = joint_expectation(settings[i], settings[j], 1000, 0).scalar_mean
-        assert rows["--n"][column] == model
-        assert abs(rows["--analytic"][column] - model) <= 1e-15
+        assert abs(row[column] - model) <= 1e-15
 
 
 def test_chsh_maximize_reports_the_grid_maximum(tmp_path, capsys):
@@ -562,7 +548,7 @@ def test_chsh_evaluates_the_reference_once_after_choosing_the_settings(monkeypat
 
 
 @pytest.mark.parametrize("drift", [0.0, 1e-3])
-@pytest.mark.parametrize("source", [("--analytic",), ("--n", 1000)])
+@pytest.mark.parametrize("source", [("--analytic",)])
 @pytest.mark.parametrize(
     "mode", [("--angles-deg", 0.1, "-1e3", 1 / 3, 22.5), ("--maximize", "--step-deg", 7)]
 )
@@ -570,14 +556,13 @@ def test_the_chsh_value_is_the_combination_of_its_row_bit_for_bit(
     monkeypatch, tmp_path, mode, source, drift
 ):
     """Also for a correlation that moves from call to call, as a fresh estimate would."""
-    name = "quantum_reference" if "--analytic" in source else "_scalar_channel"
-    correlation, calls = getattr(cli, name), []
+    correlation, calls = cli.quantum_reference, []
 
     def drifting(alpha, beta):
         calls.append(1)
         return correlation(alpha, beta) + drift * len(calls)
 
-    monkeypatch.setattr(cli, name, drifting)
+    monkeypatch.setattr(cli, "quantum_reference", drifting)
     out = tmp_path / "chsh.csv"
     assert run("chsh", *mode, *source, "--out", out) == 0
     (row,) = read_table(out)
@@ -588,15 +573,15 @@ def test_the_chsh_value_is_the_combination_of_its_row_bit_for_bit(
 @pytest.mark.parametrize(
     "argv",
     [
-        ("chsh", "--angles-deg", 0, -45, -22.5, 22.5, "--n", 100000),
-        ("chsh", "--maximize", "--step-deg", 10, "--n", 1000),
+        ("chsh", "--angles-deg", 0, -45, -22.5, 22.5, "--analytic"),
+        ("chsh", "--maximize", "--step-deg", 10, "--analytic"),
         ("scan", "--alpha-deg", 17, "--beta-start", 0, "--beta-stop", 180, "--beta-step", 22.5,
          "--n", 5000, "--out", "scan.csv"),
         ("simulate", "--alpha-deg", 17, "--beta-deg", 40, "--n", 5000, "--out", "sim.csv"),
     ],
 )
 def test_monte_carlo_commands_make_one_sign_sum(monkeypatch, tmp_path, argv):
-    """``simulate`` and ``scan`` make one sum; ``chsh --n`` reads no sign sum and makes none."""
+    """``simulate`` and ``scan`` make one sum; ``chsh`` reads no sign sum and makes none."""
     monkeypatch.chdir(tmp_path)
     calls = []
     summed = correlations._summed_signs
@@ -610,14 +595,35 @@ def test_monte_carlo_commands_make_one_sign_sum(monkeypatch, tmp_path, argv):
     assert len(calls) == (0 if argv[0] == "chsh" else 1)
 
 
-def test_chsh_rejects_bad_argument_combinations(tmp_path):
-    assert run("chsh", "--analytic") == 2  # neither angles nor maximize
-    assert run("chsh", "--angles-deg", 0, 1, 2, 3, "--maximize", "--step-deg", 1, "--analytic") == 2
-    assert run("chsh", "--angles-deg", 0, 1, 2, 3) == 2  # neither analytic nor n
-    assert run("chsh", "--angles-deg", 0, 1, 2, 3, "--analytic", "--n", 10) == 2
-    assert run("chsh", "--maximize", "--analytic") == 2  # missing step
-    assert run("chsh", "--angles-deg", 0, 1, 2, 3, "--n", 0) == 2
-    assert run("chsh", "--angles-deg", 0, 1, 2, 3, "--step-deg", 5, "--analytic") == 2
+def test_chsh_rejects_bad_argument_combinations(capsys):
+    """Each line fails at its own check, named by the message it prints."""
+    modes = "give exactly one of four angles or --maximize"
+    for argv, message in [
+        (("--analytic",), modes),
+        (("--angles-deg", 0, 1, 2, 3, "--maximize", "--step-deg", 1, "--analytic"), modes),
+        (("--angles-deg", 0, 1, 2, 3, "--maximize", "--analytic"), modes),  # before the step check
+        (("--angles-deg", 0, 1, 2, 3), "the following arguments are required: --analytic"),
+        (("--maximize", "--analytic"), "--maximize needs --step-deg"),
+        (("--angles-deg", 0, 1, 2, 3, "--step-deg", 5, "--analytic"), "--step-deg needs --maximize"),
+        # A step outside the grid range fails the pairing check before its own range check.
+        (("--angles-deg", 0, 1, 2, 3, "--step-deg", 0, "--analytic"), "--step-deg needs --maximize"),
+    ]:
+        assert run("chsh", *argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err, argv
+
+
+@pytest.mark.parametrize(
+    "source",
+    [("--n", 10), ("--analytic", "--threads", 2), ("--threads", 2), ("--analytic", "--n", 10)],
+)
+def test_chsh_takes_no_trial_count_or_threads(tmp_path, capsys, source):
+    """``chsh`` draws no trials: it takes neither ``--n`` nor ``--threads``."""
+    out = tmp_path / "chsh.csv"
+    assert run("chsh", "--angles-deg", 0, -45, -22.5, 22.5, *source, "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_chsh_maximize_refuses_a_fine_non_wrapping_grid_at_once(monkeypatch, capsys):

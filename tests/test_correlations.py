@@ -327,13 +327,18 @@ def test_chsh_value_calls_the_correlation_once_on_a_radian_column_and_row():
 
 
 def test_chsh_bound_holds_for_random_quadruples():
-    rng = np.random.default_rng(1)
-    for _ in range(10**5):
-        a, ap, b, bp = rng.uniform(0.0, math.pi, 4)
-        settings = ChshSettings(
-            PolarizerAngle(a), PolarizerAngle(ap), PolarizerAngle(b), PolarizerAngle(bp)
-        )
-        assert chsh_value(settings, quantum_reference) <= TSIRELSON + 1e-12
+    """One reference call on ``(N, 2, 1)`` by ``(N, 1, 2)`` covers all 10**5 quadruples.
+
+    The draws are those of 10**5 successive four-angle draws; on the first
+    2,000, :func:`chsh_value` gives the same values bit for bit.
+    """
+    quadruples = np.random.default_rng(1).uniform(0.0, math.pi, (10**5, 4))
+    e = quantum_reference(quadruples[:, :2, None], quadruples[:, None, 2:])
+    values = np.abs(e[:, 0, 0] + e[:, 0, 1] + e[:, 1, 0] - e[:, 1, 1])
+    assert values.max() <= TSIRELSON + 1e-12
+    for quadruple, value in zip(quadruples[:2000], values[:2000]):
+        settings = ChshSettings(*map(PolarizerAngle, quadruple))
+        assert chsh_value(settings, quantum_reference) == value
 
 
 # ---------------------------------------------------------------------------
