@@ -89,7 +89,11 @@ def is_equatorial(q: EvenElement, tol: float = 1e-12) -> bool:
 def _random_unit_rows(rng: np.random.Generator, width: int, *shape: int) -> np.ndarray:
     """Uniform points of the unit sphere in ``width`` dimensions as ``shape + (width,)`` rows."""
     rows = rng.standard_normal(shape + (width,))
-    rows /= np.sqrt(np.sum(rows * rows, axis=-1, keepdims=True))
+    # Summed column by column, in np.sum's order, with no ``rows * rows`` temporary.
+    norm = np.zeros(shape)
+    for column in np.moveaxis(rows, -1, 0):
+        norm += column * column
+    rows /= np.sqrt(norm)[..., None]
     return rows
 
 
@@ -104,11 +108,12 @@ def factorize_s3_point(target, count, seed: int):
     of factors; ``(N, 4)`` target rows give ``(N, count, 4)`` factor rows.
 
     For rows, ``count`` may also be an ``(N,)`` integer array of per-row
-    counts.  The result is then ``(N, max(count), 4)``: one draw fills
-    every slot before the last, a row's unused slots hold the exact
-    identity ``(1, 0, 0, 0)``, and its last factor sits at slot
-    ``count - 1``, so the ordered product over all slots is still the
-    target.  Equal counts give the same factors as the int count.
+    counts.  The result is then ``(N, max(count), 4)``: one draw of
+    ``sum(count - 1)`` factors fills each row's slots before its last
+    factor, in row order, the last factor sits at slot ``count - 1``, and
+    the unused slots hold the exact identity ``(1, 0, 0, 0)``, so the
+    ordered product over all slots is still the target.  Equal counts give
+    the same factors as the int count.
     """
     counts = np.asarray(count)
     if counts.dtype.kind not in "iu":
@@ -127,12 +132,10 @@ def factorize_s3_point(target, count, seed: int):
     counts = np.broadcast_to(counts, targets.shape[:1])
     if width == 0:
         return targets[:, None, :].copy()
-    rng = np.random.default_rng(seed)
-    # The draw is padded by one slot rather than written into a buffer made
-    # first, so its temporaries and the factors are never alive together.
-    padding = np.empty((len(targets), 1, 4))
-    factors = np.concatenate([_random_unit_rows(rng, 4, len(targets), width), padding], axis=1)
-    factors[np.arange(width + 1) >= counts[:, None] - 1] = (1.0, 0.0, 0.0, 0.0)
+    factors = np.zeros((len(targets), width + 1, 4))
+    factors[..., 0] = 1.0
+    drawn = np.arange(width + 1) < counts[:, None] - 1
+    factors[drawn] = _random_unit_rows(np.random.default_rng(seed), 4, int(np.count_nonzero(drawn)))
     prefix = factors[:, 0]
     for k in range(1, width):
         prefix = even_product(prefix, factors[:, k])

@@ -38,6 +38,7 @@ from threesphere.protocol import (
 from threesphere.topology import (
     PlanePoint,
     S2Point,
+    _random_unit_rows,
     factorize_s3_point,
     s2_nonclosure_witness,
     stereographic_project,
@@ -362,6 +363,25 @@ def test_mixed_factor_counts_pad_with_the_exact_identity(rng):
         np.testing.assert_allclose(product, target, rtol=0.0, atol=1e-14)
 
 
+def test_mixed_factor_counts_draw_only_the_slots_they_use(rng):
+    targets = unit_rows(rng, (ROWS,), 4)
+    counts = rng.integers(1, 9, size=ROWS)
+    counts[:2] = 1, 8
+    factors = factorize_s3_point(targets, counts, seed=11)
+    slots = [row for count, rows in zip(counts, factors) for row in rows[: count - 1]]
+    drawn = _random_unit_rows(np.random.default_rng(11), 4, int(np.sum(counts - 1)))
+    assert np.array(slots).tobytes() == drawn.tobytes()
+
+
+@pytest.mark.parametrize("width", [3, 4])
+def test_unit_rows_equal_the_whole_row_normalization_bit_for_bit(width):
+    rows = _random_unit_rows(np.random.default_rng(5), width, 2, suites.BLOCK)
+    gaussians = np.random.default_rng(5).standard_normal((2, suites.BLOCK, width))
+    expected = gaussians / np.sqrt(np.sum(gaussians * gaussians, axis=-1, keepdims=True))
+    assert rows.shape == expected.shape
+    assert np.array_equal(rows.view(np.uint64), expected.view(np.uint64))
+
+
 @pytest.mark.parametrize(
     "counts",
     [[0, 2, 3], [2, -1, 3], [1.0, 2.0, 3.0], [1.5, 2, 3], [True, True, True], [2, 3], [[2, 3, 4]]],
@@ -472,6 +492,69 @@ def test_left_handed_chain_fails_the_factorization_check(monkeypatch, capsys):
     line = next(line for line in lines if "factors multiply back" in line)
     assert line.startswith("[topology] factors multiply back to the target: max residual ")
     assert line.endswith(" (tol 1.0e-09) FAIL")
+
+
+# ---------------------------------------------------------------------------
+# Every basis check can fail by itself
+#
+# The bilinear algebra checks are exact on basis inputs; these faults are
+# caught by the basis residuals alone, with no sampled block.
+# ---------------------------------------------------------------------------
+
+ALGEBRA_TOLERANCES = [1e-12, 1e-12, 1e-12, 1e-12, 1e-12, 1e-10, 0.0]
+
+
+def failing_on_the_basis():
+    residuals = suites._basis_residuals()
+    return {name for name, residual, tol in zip(CHECK_NAMES, residuals, ALGEBRA_TOLERANCES)
+            if not residual <= tol}
+
+
+def test_correct_kernels_give_exactly_zero_on_the_basis():
+    assert suites._basis_residuals() == (0.0,) * 7
+    assert [check.tolerance for check in suites.algebra_suite(1)] == ALGEBRA_TOLERANCES
+
+
+def test_wrong_cayley_entry_fails_associativity_and_closure_on_the_basis(monkeypatch):
+    assert failing_on_the_basis() == set()
+    tensor = algebra._PRODUCT_TENSOR.copy()
+    tensor[4, 5] *= -1.0
+    monkeypatch.setattr(algebra, "_PRODUCT_TENSOR", tensor)
+    assert failing_on_the_basis() == {
+        "even subalgebra closes and matches the full product",
+        "geometric product associates",
+    }
+
+
+def test_left_handed_even_product_fails_closure_on_the_basis(monkeypatch):
+    def flipped(lhs, rhs):
+        return algebra.oriented_even_product(LEFT_HANDED, lhs, rhs)
+
+    monkeypatch.setattr(suites, "even_product", flipped)
+    assert failing_on_the_basis() == {"even subalgebra closes and matches the full product"}
+
+
+def test_inexact_left_dual_fails_the_flip_on_the_basis(monkeypatch):
+    def inexact(handedness, direction):
+        dual = algebra.dual_bivector(handedness, direction)
+        return dual * (1.0 - 2.0**-52) if handedness == LEFT_HANDED else dual
+
+    monkeypatch.setattr(suites, "dual_bivector", inexact)
+    assert failing_on_the_basis() == {"orientation flip negates the dual exactly"}
+
+
+def test_basis_residuals_run_once_per_algebra_suite_call(monkeypatch):
+    calls = []
+    basis = suites._basis_residuals
+
+    def counted():
+        calls.append(None)
+        return basis()
+
+    monkeypatch.setattr(suites, "_basis_residuals", counted)
+    for expected in (1, 2):
+        suites.algebra_suite(samples=3 * suites.BLOCK)
+        assert len(calls) == expected
 
 
 # ---------------------------------------------------------------------------
