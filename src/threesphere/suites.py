@@ -119,7 +119,8 @@ def _closure_gap(p, q, pq) -> float:
 
 
 def _associativity_gap(m, n, p) -> float:
-    return _gap(geometric_product(geometric_product(m, n), p), geometric_product(m, geometric_product(n, p)))
+    mn_p = geometric_product(geometric_product(m, n), p)
+    return _gap(mn_p, geometric_product(m, geometric_product(n, p)))
 
 
 def _flip_gap(a) -> float:
@@ -130,8 +131,8 @@ def _basis_residuals() -> tuple:
     """The algebra checks' residuals on basis inputs, in table order; the norm check reads 0.
 
     The products are bilinear with integer structure constants, so each of
-    the six bilinear identities holds for every input iff it holds on the
-    basis: all 512 triples of blades, the 9 pairs of unit vectors, the 18
+    the six identities, linear in every argument, holds for every input iff
+    it holds on the basis: all 512 triples of blades, the 9 pairs of unit vectors, the 18
     (sign, e_j, e_k) duals, the 16 pairs of even blades and the 3 flips.
     Every input is 0 or +-1, so correct kernels give exactly 0.  The
     residuals go through the live kernels on each call, so a changed
