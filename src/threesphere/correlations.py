@@ -131,11 +131,10 @@ def sign_sum_plan(n: int, threads: int) -> list:
 
 def stream_summary(n: int, threads: int) -> dict:
     """Shards, chunk size and chunks summed for one sign sum over ``n`` trials."""
-    plan = sign_sum_plan(n, threads)
     return {
-        "shards": len(plan),
+        "shards": len(sign_sum_plan(n, threads)),
         "chunk_size": SIGN_CHUNK,
-        "chunks": sum(-(-count // SIGN_CHUNK) for _, count in plan),
+        "chunks": -(-n // SIGN_CHUNK),
     }
 
 

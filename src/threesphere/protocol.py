@@ -22,14 +22,13 @@ the i-th draw is a pure function of ``(seed, i)``: any contiguous block of
 trials can be recomputed independently, which is what makes sharded and
 single-thread runs identical.
 
-Two views of the stream are offered.  :func:`handedness_signs` returns
-the signs of a block as an array, for per-trial work.
-:func:`handedness_sign_sum` is the estimators' kernel: it returns the
-exact integer sum of a block without materialising it, walking the
-stream in fixed chunks of :data:`SIGN_CHUNK` draws through three
-preallocated uint64 buffers (1.5 MB, small enough to stay in a per-core
-L2 cache) and counting the draws whose top bit is set, so its memory
-does not grow with the block length.
+One pass walks the stream in chunks of :data:`SIGN_CHUNK` draws through
+three preallocated uint64 buffers (1.5 MB, small enough for a per-core L2
+cache); two reductions read it.  :func:`handedness_signs` fills an int64
+array of signs at 8 bytes per sign plus those buffers;
+:func:`handedness_sign_sum`, the estimators' kernel, counts the set top
+bits in constant memory.  Positions ``start`` must be non-negative and are
+taken modulo the counter's period 2**64.
 """
 
 from __future__ import annotations
@@ -69,56 +68,58 @@ _GAMMA = _U64(0x9E3779B97F4A7C15)
 _MIX_1 = _U64(0xBF58476D1CE4E5B9)
 _MIX_2 = _U64(0x94D049BB133111EB)
 
+# Draws per chunk of the stream pass; 2**14 and 2**18 both measured slower.
+SIGN_CHUNK = 1 << 16
+
+
+def _top_bits(seed: int, count: int, start: int):
+    """Top bits of the splitmix64 draws ``start .. start+count-1`` for ``seed``.
+
+    Checks the arguments, then yields one uint64 0/1 view per chunk, overwritten by the next.
+    The mixer's final ``z ^= z >> 31`` keeps the top bit and is skipped.
+    """
+    if count < 0 or start < 0:
+        raise ValueError(f"count and start must be non-negative, got {count} and {start}")
+    ramp = np.arange(min(count, SIGN_CHUNK), dtype=np.uint64)
+    ramp *= _GAMMA  # ramp[i] = i * gamma; chunk draws are ramp + (seed + (first + 1) * gamma)
+    z, t = np.empty_like(ramp), np.empty_like(ramp)
+
+    def chunks():
+        for first in range(start, start + count, SIGN_CHUNK):
+            size = min(SIGN_CHUNK, start + count - first)
+            zs, ts = z[:size], t[:size]
+            np.add(ramp[:size], _U64((seed + (first + 1) * int(_GAMMA)) & _MASK64), out=zs)
+            np.right_shift(zs, _U64(30), out=ts)
+            np.bitwise_xor(zs, ts, out=zs)
+            np.multiply(zs, _MIX_1, out=zs)
+            np.right_shift(zs, _U64(27), out=ts)
+            np.bitwise_xor(zs, ts, out=zs)
+            np.multiply(zs, _MIX_2, out=zs)
+            np.right_shift(zs, _U64(63), out=ts)
+            yield ts
+    return chunks()
+
 
 def handedness_signs(seed: int, count: int, start: int = 0) -> np.ndarray:
     """Orientation signs ``start .. start+count-1`` of the stream for ``seed``.
 
-    Returns an int64 array of +1/-1 values, each the top bit of one
-    splitmix64 output.  Element ``i`` depends only on ``(seed, start+i)``.
+    Returns int64 +1/-1 values; element ``i`` depends only on ``(seed, start+i)``.
     """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    base = _U64(seed & _MASK64)
-    index = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = base + index * _GAMMA
-    z = (z ^ (z >> _U64(30))) * _MIX_1
-    z = (z ^ (z >> _U64(27))) * _MIX_2
-    z ^= z >> _U64(31)
-    return np.where((z >> _U64(63)) != 0, -1, 1).astype(np.int64)
-
-
-# Draws per chunk of the sign-sum kernel; 2**14 and 2**18 both measured slower.
-SIGN_CHUNK = 1 << 16
+    chunks = _top_bits(seed, count, start)
+    signs = np.empty(count, dtype=np.int64)
+    for first, bits in zip(range(0, count, SIGN_CHUNK), chunks):
+        out = signs[first : first + bits.size]
+        np.multiply(bits.view(np.int64), -2, out=out)
+        out += 1
+    return signs
 
 
 def handedness_sign_sum(seed: int, count: int, start: int = 0) -> int:
     """Exact sum of orientation signs ``start .. start+count-1`` for ``seed``.
 
-    Equals ``int(handedness_signs(seed, count, start).sum())``.  Draw ``i``
-    is negative when the top bit of its splitmix64 output is set, so the
-    sum is ``count - 2 * negatives``.  The final ``z ^= z >> 31`` of the
-    mixer leaves the top bit unchanged and is skipped.
+    Equals ``int(handedness_signs(seed, count, start).sum())``; counts set top bits.
     """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    width = min(count, SIGN_CHUNK)
-    ramp = np.arange(width, dtype=np.uint64)
-    ramp *= _GAMMA  # ramp[i] = i * gamma; chunk draws are ramp + (base + first * gamma)
-    z = np.empty(width, dtype=np.uint64)
-    t = np.empty(width, dtype=np.uint64)
-    negatives = 0
-    for first in range(start + 1, start + count + 1, SIGN_CHUNK):
-        size = min(SIGN_CHUNK, start + count + 1 - first)
-        zs, ts = z[:size], t[:size]
-        np.add(ramp[:size], _U64((seed + first * int(_GAMMA)) & _MASK64), out=zs)
-        np.right_shift(zs, _U64(30), out=ts)
-        np.bitwise_xor(zs, ts, out=zs)
-        np.multiply(zs, _MIX_1, out=zs)
-        np.right_shift(zs, _U64(27), out=ts)
-        np.bitwise_xor(zs, ts, out=zs)
-        np.multiply(zs, _MIX_2, out=zs)
-        np.right_shift(zs, _U64(63), out=ts)
-        negatives += int(np.add.reduce(ts))
+    negatives = sum(int(np.add.reduce(bits)) for bits in _top_bits(seed, count, start))
     return count - 2 * negatives
 
 

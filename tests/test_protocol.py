@@ -165,6 +165,45 @@ def test_products_stay_on_the_unit_sphere():
 # Orientation stream
 # ---------------------------------------------------------------------------
 
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64(seed, position):
+    """Output ``position`` of splitmix64 seeded with ``seed``, in plain Python ints."""
+    z = (seed + (position + 1) * 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def test_reference_mixer_gives_the_published_seed_zero_outputs():
+    # The first outputs of Vigna's splitmix64.c for a zero state.
+    assert [splitmix64(0, i) for i in range(3)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F
+    ]
+    assert handedness_signs(0, 3).tolist() == [-1, 1, 1]
+
+
+@pytest.mark.parametrize("seed, start", [(2**64 - 1, 0), (-5, 17), (2**63 + 12345, 2**40 + 3)])
+def test_both_views_match_the_reference_mixer(seed, start):
+    counts = (1, SIGN_CHUNK - 1, SIGN_CHUNK + 1, 3 * SIGN_CHUNK + 5)
+    expected = [1 - 2 * (splitmix64(seed, start + i) >> 63) for i in range(max(counts))]
+    for count in counts:
+        assert handedness_signs(seed, count, start=start).tolist() == expected[:count]
+        assert handedness_sign_sum(seed, count, start=start) == sum(expected[:count])
+
+
+def test_both_views_reject_a_negative_start_and_wrap_at_the_period():
+    for view in (handedness_signs, handedness_sign_sum):
+        with pytest.raises(ValueError):
+            view(1, 10, start=-1)
+    for start in (2**63 + 5, 2**64):
+        assert int(handedness_signs(1, 10, start=start).sum()) == handedness_sign_sum(1, 10, start=start)
+    assert np.array_equal(handedness_signs(1, 10, start=2**64), handedness_signs(1, 10))
+    assert handedness_sign_sum(1, 10, start=2**64) == handedness_sign_sum(1, 10)
+    across = [1 - 2 * (splitmix64(1, 2**64 - 3 + i) >> 63) for i in range(6)]
+    assert handedness_signs(1, 6, start=2**64 - 3).tolist() == across
+
 
 def test_stream_is_deterministic():
     assert (handedness_signs(123, 256) == handedness_signs(123, 256)).all()
@@ -214,18 +253,24 @@ def test_sign_sum_of_adjacent_blocks_adds_up():
     assert first + handedness_sign_sum(99, 4 * SIGN_CHUNK + 4, start=SIGN_CHUNK + 3) == whole
 
 
-def test_sign_sum_memory_is_flat_in_the_count():
-    def peak(count):
-        tracemalloc.start()
-        try:
-            handedness_sign_sum(3, count)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+def traced_peak(view, count):
+    tracemalloc.start()
+    try:
+        view(3, count)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-    small, large = peak(10**6), peak(10**7)
+
+def test_sign_sum_memory_is_flat_in_the_count():
+    small, large = traced_peak(handedness_sign_sum, 10**6), traced_peak(handedness_sign_sum, 10**7)
     assert large < 4 * 2**20
     assert abs(large - small) <= 0.1 * small
+
+
+@pytest.mark.parametrize("count", [10**6, 4 * 10**6])
+def test_sign_array_costs_its_result_plus_fixed_buffers(count):
+    assert traced_peak(handedness_signs, count) <= 8 * count + 4 * 2**20
 
 
 def test_sign_sum_rejects_a_negative_count():
