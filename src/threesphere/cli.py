@@ -17,10 +17,9 @@ is at least 1 (and is capped at the CPU count when the work is sharded),
 a scan yields at most :data:`MAX_SCAN_ROWS` rows over a finite angle
 range, and ``verify --samples`` runs from 1 to :data:`MAX_SAMPLES`.
 
-``verify all`` runs its three suites on ``min(3, os.cpu_count())`` threads,
-the cap the sharded sign sum uses; with one CPU, one suite, or fewer than
-:data:`~threesphere.suites.BLOCK` samples, they run in the calling thread.
-The results print in the fixed suite order either way.
+``verify all`` runs its three suites one after another in the calling
+thread and prints each suite's results as it finishes; a suite that
+raises ends the run before the next one starts.
 """
 
 from __future__ import annotations
@@ -28,11 +27,9 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
@@ -48,7 +45,7 @@ from .correlations import (
     stream_summary,
 )
 from .protocol import PolarizerAngle
-from .suites import BLOCK, SUITES
+from .suites import SUITES
 from .tables import write_manifest, write_table
 
 
@@ -60,8 +57,8 @@ MAX_TRIALS = 10**11
 # Most rows one scan may produce; every row is held in memory before writing.
 MAX_SCAN_ROWS = 100_000
 
-# Largest verify --samples; about 20 seconds at the 1.8-2.1 us per sample
-# measured at 10**6 samples with the suites on two CPUs (2-vCPU x86-64 host,
+# Largest verify --samples; about 30 seconds at the 2.7-3.4 us per sample
+# measured at 10**6 samples with the suites in one thread (2-vCPU x86-64 host,
 # numpy 2.4).  The six bilinear algebra checks sample only their first block.
 MAX_SAMPLES = 10**7
 
@@ -214,31 +211,11 @@ def cmd_chsh(args) -> int:
     return 0
 
 
-def _suite_results(names, samples: int, seed: int):
-    """``(name, checks)`` of each named suite, in order of ``names``.
-
-    The suites run on one thread per suite, at most one per CPU; with one
-    worker they run inline.  A suite's exception is raised where its
-    results are due, after the earlier suites' results.
-    """
-    def run(name):
-        return SUITES[name](samples=samples, seed=seed)
-
-    # Below one full block the suites spend their time in the interpreter, so
-    # threads only pass the GIL between them: at 1,000 samples they were slower.
-    workers = min(len(names), os.cpu_count() or 1) if samples >= BLOCK else 1
-    if workers == 1:
-        yield from zip(names, map(run, names))
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from zip(names, pool.map(run, names))
-
-
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     all_passed = True
-    for name, checks in _suite_results(names, args.samples, args.seed):
-        for check in checks:
+    for name in names:
+        for check in SUITES[name](samples=args.samples, seed=args.seed):
             status = "PASS" if check.passed else "FAIL"
             all_passed &= check.passed
             print(

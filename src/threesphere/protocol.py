@@ -34,6 +34,7 @@ taken modulo the counter's period 2**64.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +77,10 @@ def _top_bits(seed: int, count: int, start: int):
     """Top bits of the splitmix64 draws ``start .. start+count-1`` for ``seed``.
 
     Checks the arguments, then yields one uint64 0/1 view per chunk, overwritten by the next.
-    The mixer's final ``z ^= z >> 31`` keeps the top bit and is skipped.
+    The mixer's final ``z ^= z >> 31`` keeps the top bit and is skipped.  The
+    arguments are taken as Python ints, so numpy integers cannot overflow the offset.
     """
+    seed, count, start = map(operator.index, (seed, count, start))
     if count < 0 or start < 0:
         raise ValueError(f"count and start must be non-negative, got {count} and {start}")
     ramp = np.arange(min(count, SIGN_CHUNK), dtype=np.uint64)

@@ -687,17 +687,15 @@ def thread_starts(monkeypatch):
 
 @pytest.mark.parametrize("cpus", [1, 2, 64])
 def test_verify_output_does_not_depend_on_the_thread_count(cpus, monkeypatch, capsys, thread_starts):
-    samples = 2 * suites.BLOCK + 1
-    assert run("verify", "all", "--samples", samples, "--seed", 5) == 0
-    expected = capsys.readouterr().out
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    del thread_starts[:]
-    assert run("verify", "all", "--samples", samples, "--seed", 5) == 0
-    assert capsys.readouterr().out == expected
-    if cpus == 1:
-        assert thread_starts == []
-    else:
-        assert 1 <= len(thread_starts) <= min(3, cpus)
+    """The suites run in the calling thread whatever the CPU count, so stdout never moves."""
+    for samples in (1, suites.BLOCK - 1, 2 * suites.BLOCK + 1):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert run("verify", "all", "--samples", samples, "--seed", 5) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert run("verify", "all", "--samples", samples, "--seed", 5) == 0
+        assert capsys.readouterr().out == expected
+    assert thread_starts == []
 
 
 @pytest.mark.parametrize("suite, samples", [("topology", 2 * suites.BLOCK), ("all", suites.BLOCK - 1)])
@@ -716,16 +714,25 @@ def raising(error):
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_verify_suite_errors_keep_their_exit(cpus, monkeypatch, capsys, thread_starts):
+    """A suite that raises ends the run at once: the later protocol suite never starts."""
+    protocol_calls = []
+
+    def protocol(samples, seed):
+        protocol_calls.append(samples)
+        return suites.protocol_suite(samples, seed)
+
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(cli, "SUITES", {**cli.SUITES, "topology": raising(ValueError)})
+    broken = {**cli.SUITES, "protocol": protocol}
+    monkeypatch.setattr(cli, "SUITES", {**broken, "topology": raising(ValueError)})
     assert run("verify", "all", "--samples", suites.BLOCK) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: suite broke\n"
-    assert captured.out.startswith("[algebra] ") and "[topology]" not in captured.out
-    monkeypatch.setattr(cli, "SUITES", {**cli.SUITES, "topology": raising(ArithmeticError)})
+    lines = captured.out.splitlines()
+    assert len(lines) == 7 and all(line.startswith("[algebra] ") for line in lines)
+    monkeypatch.setattr(cli, "SUITES", {**broken, "topology": raising(ArithmeticError)})
     with pytest.raises(ArithmeticError, match="suite broke"):
         run("verify", "all", "--samples", suites.BLOCK)
-    assert bool(thread_starts) == (cpus > 1)
+    assert protocol_calls == [] and thread_starts == []
 
 
 def test_package_runs_as_a_module():

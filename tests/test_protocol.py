@@ -11,7 +11,7 @@ from threesphere.algebra import (
     EvenElement,
     oriented_even_product,
 )
-from threesphere import protocol
+from threesphere import correlations, protocol
 from threesphere.protocol import (
     SIGN_CHUNK,
     PolarizerAngle,
@@ -203,6 +203,20 @@ def test_both_views_reject_a_negative_start_and_wrap_at_the_period():
     assert handedness_sign_sum(1, 10, start=2**64) == handedness_sign_sum(1, 10)
     across = [1 - 2 * (splitmix64(1, 2**64 - 3 + i) >> 63) for i in range(6)]
     assert handedness_signs(1, 6, start=2**64 - 3).tolist() == across
+
+
+@pytest.mark.parametrize(
+    "seed", [np.int64(5), np.int64(2**63 - 1), np.uint64(2**64 - 1), np.int32(5)], ids=repr
+)
+def test_numpy_integer_seeds_draw_the_stream_of_the_equal_int(seed, monkeypatch):
+    count = SIGN_CHUNK + 5
+    for start in (0, np.int64(SIGN_CHUNK - 2)):
+        expected = handedness_signs(int(seed), count, int(start))
+        assert np.array_equal(handedness_signs(seed, np.int64(count), start), expected)
+        assert handedness_sign_sum(seed, np.int64(count), start) == int(expected.sum())
+    monkeypatch.setattr(correlations.os, "cpu_count", lambda: 2)
+    assert len(correlations.sign_sum_plan(count, 2)) == 2
+    assert correlations._summed_signs(seed, count, 2) == correlations._summed_signs(int(seed), count)
 
 
 def test_stream_is_deterministic():

@@ -6,13 +6,14 @@ be able to fail when the code it checks is wrong, and the block size must
 keep memory flat in the sample count.
 """
 
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from threesphere import algebra, suites
+from threesphere import algebra, suites, topology
 from threesphere.algebra import (
     LEFT_HANDED,
     RIGHT_HANDED,
@@ -371,6 +372,77 @@ def test_mixed_factor_counts_draw_only_the_slots_they_use(rng):
     slots = [row for count, rows in zip(counts, factors) for row in rows[: count - 1]]
     drawn = _random_unit_rows(np.random.default_rng(11), 4, int(np.sum(counts - 1)))
     assert np.array(slots).tobytes() == drawn.tobytes()
+
+
+def padded_factorization(targets, count, seed):
+    """The factorization whose prefix multiplies every row at every slot, padding included.
+
+    The identity padding is exact, so the drawn-slot loop must give the same factors.
+    ``topology.even_product`` is looked up at call time, as the library's loop does.
+    """
+    counts = np.broadcast_to(np.asarray(count), targets.shape[:1])
+    width = int(counts.max(initial=1)) - 1
+    if width == 0:
+        return targets[:, None, :].copy()
+    factors = np.zeros((len(targets), width + 1, 4))
+    factors[..., 0] = 1.0
+    drawn = np.arange(width + 1) < counts[:, None] - 1
+    factors[drawn] = _random_unit_rows(np.random.default_rng(seed), 4, int(np.count_nonzero(drawn)))
+    prefix = factors[:, 0]
+    for k in range(1, width):
+        prefix = topology.even_product(prefix, factors[:, k])
+    last = topology.even_product(prefix * np.array([1.0, -1.0, -1.0, -1.0]), targets)
+    last /= np.linalg.norm(last, axis=1, keepdims=True)
+    factors[np.arange(len(targets)), counts - 1] = last
+    return factors
+
+
+MIXED_COUNTS = {
+    "suite pattern": 1 + np.arange(ROWS) % 8,
+    "shuffled with ones": np.random.default_rng(4).permutation(1 + np.arange(ROWS) % 5),
+    "int 5": 5,
+    "(N,) of 3": np.full(ROWS, 3),
+    "uint8 up to 2": np.arange(ROWS, dtype=np.uint8) % 2 + 1,
+    "all 1": np.ones(ROWS, dtype=int),
+}
+
+
+@pytest.mark.parametrize("counts", MIXED_COUNTS.values(), ids=MIXED_COUNTS)
+def test_factorization_skipping_the_padding_equals_the_padded_loop(rng, counts):
+    targets = unit_rows(rng, (ROWS,), 4)
+    expected = padded_factorization(targets, counts, seed=11)
+    factors = factorize_s3_point(targets, counts, seed=11)
+    assert factors.shape == expected.shape
+    assert np.array_equal(factors, expected)
+
+
+@pytest.mark.parametrize("counts", MIXED_COUNTS.values(), ids=MIXED_COUNTS)
+def test_multiplying_the_used_slots_equals_the_product_over_all_slots(rng, counts):
+    factors = factorize_s3_point(unit_rows(rng, (ROWS,), 4), counts, seed=11)
+    counts = np.broadcast_to(counts, (ROWS,))
+    whole = functools.reduce(even_product, factors.swapaxes(0, 1))
+    assert np.array_equal(topology._leading_products(factors, counts, even_product), whole)
+
+
+def test_a_topology_block_multiplies_only_the_drawn_slots(monkeypatch):
+    rows = []
+
+    def counted(lhs, rhs):
+        rows.append(len(lhs))
+        return algebra.even_product(lhs, rhs)
+
+    monkeypatch.setattr(topology, "even_product", counted)
+    monkeypatch.setattr(suites, "even_product", counted)
+    suites.topology_suite(samples=suites.BLOCK)
+    # Besides the prefix loop and the multiply-back check, the last factor, the
+    # equator witness and the closure check each multiply the block once.
+    others = 3 * suites.BLOCK
+    assert sum(rows) - others == 10_752 + 14_336 == 25_088
+    del rows[:]
+    p = _random_unit_rows(np.random.default_rng(0), 4, suites.BLOCK)
+    factors = padded_factorization(p, 1 + np.arange(suites.BLOCK) % 8, seed=0)
+    functools.reduce(counted, factors.swapaxes(0, 1))
+    assert sum(rows) - suites.BLOCK == 6 * suites.BLOCK + 7 * suites.BLOCK == 53_248
 
 
 @pytest.mark.parametrize("width", [3, 4])
