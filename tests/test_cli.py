@@ -722,14 +722,14 @@ def test_verify_suite_errors_keep_their_exit(cpus, monkeypatch, capsys, thread_s
         return suites.protocol_suite(samples, seed)
 
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    broken = {**cli.SUITES, "protocol": protocol}
-    monkeypatch.setattr(cli, "SUITES", {**broken, "topology": raising(ValueError)})
+    counted = {**cli.SUITES, "protocol": protocol}
+    monkeypatch.setattr(cli, "SUITES", {**counted, "topology": raising(ValueError)})
     assert run("verify", "all", "--samples", suites.BLOCK) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: suite broke\n"
     lines = captured.out.splitlines()
     assert len(lines) == 7 and all(line.startswith("[algebra] ") for line in lines)
-    monkeypatch.setattr(cli, "SUITES", {**broken, "topology": raising(ArithmeticError)})
+    monkeypatch.setattr(cli, "SUITES", {**counted, "topology": raising(ArithmeticError)})
     with pytest.raises(ArithmeticError, match="suite broke"):
         run("verify", "all", "--samples", suites.BLOCK)
     assert protocol_calls == [] and thread_starts == []
