@@ -438,6 +438,7 @@ def test_a_topology_block_multiplies_only_the_drawn_slots(monkeypatch):
     # equator witness and the closure check each multiply the block once.
     others = 3 * suites.BLOCK
     assert sum(rows) - others == 10_752 + 14_336 == 25_088
+    # The padded loop and a product over all 8 slots, less the reference's last factor.
     del rows[:]
     p = _random_unit_rows(np.random.default_rng(0), 4, suites.BLOCK)
     factors = padded_factorization(p, 1 + np.arange(suites.BLOCK) % 8, seed=0)
