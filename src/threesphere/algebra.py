@@ -23,17 +23,17 @@ Every operation is an array kernel over stacked ``(..., 8)``, ``(..., 4)``
 or ``(..., 3)`` coefficient rows, with the orientation as +1/-1 row signs:
 the full products read their signs from a signed ``(8, 8, 8)`` Cayley
 tensor and gather one blade per term, the even ones apply one column
-formula.  A dataclass argument, with a :class:`Handedness`, is the
-one-row case and returns a dataclass.  Products are only the functions
-:func:`geometric_product`, :func:`wedge` and :func:`even_product`: a
-:class:`Multivector` supports ``+`` and scaling; :class:`EvenElement`
-supports negation.
+formula.  A dataclass argument, a :class:`Handedness` for the signs, is
+one row: dataclasses alone return a dataclass, and among arrays each is
+broadcast as its row.  Products are only :func:`geometric_product`,
+:func:`wedge` and :func:`even_product`: a :class:`Multivector` supports
+``+`` and scaling; :class:`EvenElement` supports negation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 
 import numpy as np
 
@@ -148,24 +148,20 @@ def _bilinear(tensor: np.ndarray, lhs, rhs):
     drops the term.  The gather and the sign are exact, with no matmul: each
     term is one rounded product, added or subtracted in ``i`` order on
     coefficient-major copies of the rows, so no ``(..., 64)`` intermediate is
-    built.  The result is a ``(..., 8)`` view of a coefficient-major array.
+    built.  Rows come back as a ``(..., 8)`` view of the coefficient-major sums.
     """
-    if isinstance(lhs, Multivector):
-        return Multivector(_bilinear(tensor, np.array(lhs.coeffs), np.array(rhs.coeffs)))
-    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
-    batch = np.broadcast_shapes(lhs.shape[:-1], rhs.shape[:-1])
-    lhs = np.ascontiguousarray(np.moveaxis(lhs, -1, 0))
-    rhs = np.ascontiguousarray(np.moveaxis(rhs, -1, 0))
+    left, right = (np.ascontiguousarray(np.moveaxis(_row(x), -1, 0)) for x in (lhs, rhs))
+    batch = np.broadcast_shapes(left.shape[1:], right.shape[1:])
     total = np.zeros((8,) + batch)
     term = np.empty(batch)
-    rows = [rhs[j, ...] for j in range(8)]
+    rows = [right[j, ...] for j in range(8)]
     sums = [total[k, ...] for k in range(8)]
-    for column, blades, signs in zip(lhs, _GATHER, tensor[_SIGN_AT].tolist()):
+    for column, blades, signs in zip(left, _GATHER, tensor[_SIGN_AT].tolist()):
         for total_k, j, sign in zip(sums, blades, signs):
             if sign:
                 np.multiply(column, rows[j], out=term)
                 (np.add if sign > 0 else np.subtract)(total_k, term, out=total_k)
-    return np.moveaxis(total, 0, -1)
+    return _result(lambda *coeffs: Multivector(coeffs), total, lhs, rhs)
 
 
 def geometric_product(lhs, rhs):
@@ -270,16 +266,31 @@ def _signs(handedness):
     return signs
 
 
-def _columns(rows) -> tuple:
-    """The ``k`` coefficient columns of ``(..., k)`` rows."""
-    rows = np.asarray(rows, dtype=float)
+def _columns(x) -> tuple:
+    """The ``k`` coefficient columns of ``(..., k)`` rows; a dataclass gives its coefficients."""
+    if not isinstance(x, np.ndarray) and is_dataclass(x):
+        return x.coeffs if hasattr(x, "coeffs") else tuple(vars(x).values())
+    rows = np.asarray(x, dtype=float)
     return tuple(rows[..., i] for i in range(rows.shape[-1]))
 
 
-def _rows(columns) -> np.ndarray:
-    """Coefficient columns written side by side into rows; constant columns broadcast."""
-    rows = np.empty(np.broadcast(*columns).shape + (len(columns),))
-    for i, column in enumerate(columns):
+def _row(x) -> np.ndarray:
+    """``x`` as a float array of ``(..., k)`` rows; a dataclass is one row."""
+    return np.asarray(_columns(x) if is_dataclass(x) else x, dtype=float)
+
+
+def _result(kind, coeffs, *args):
+    """The one-row rule: a ``kind`` when every argument is a dataclass, else rows.
+
+    Rows take the broadcast shape of the columns, so a dataclass among arrays
+    is one row; a coefficient-major array comes back as a view of its rows.
+    """
+    if all(map(is_dataclass, args)):
+        return kind(*map(float, coeffs))
+    if isinstance(coeffs, np.ndarray):
+        return np.moveaxis(coeffs, 0, -1)
+    rows = np.empty(np.broadcast(*coeffs).shape + (len(coeffs),))
+    for i, column in enumerate(coeffs):
         rows[..., i] = column
     return rows
 
@@ -297,11 +308,9 @@ def dual_bivector(handedness, direction):
     the negation.  The scalar part is exactly zero, so unit directions
     land on the equatorial 2-sphere.
     """
-    one = isinstance(direction, Vector3)
-    x, y, z = (direction.x, direction.y, direction.z) if one else _columns(direction)
+    x, y, z = _columns(direction)
     h = _signs(handedness)
-    coeffs = (0.0, h * x, h * y, h * z)
-    return EvenElement(*coeffs) if one else _rows(coeffs)
+    return _result(EvenElement, (0.0, h * x, h * y, h * z), handedness, direction)
 
 
 def even_product(lhs, rhs):
@@ -324,9 +333,8 @@ def oriented_even_product(handedness, lhs, rhs):
     reduces to :func:`even_product`; either way the scalar part and the
     norm are unchanged, so closure of the 3-sphere is orientation-free.
     """
-    one = isinstance(lhs, EvenElement)
-    s1, u1, u2, u3 = lhs.coeffs if one else _columns(lhs)
-    s2, v1, v2, v3 = rhs.coeffs if one else _columns(rhs)
+    s1, u1, u2, u3 = _columns(lhs)
+    s2, v1, v2, v3 = _columns(rhs)
     h = _signs(handedness)
     coeffs = (
         s1 * s2 - (u1 * v1 + u2 * v2 + u3 * v3),
@@ -334,7 +342,7 @@ def oriented_even_product(handedness, lhs, rhs):
         s1 * v2 + s2 * u2 - h * (u3 * v1 - u1 * v3),
         s1 * v3 + s2 * u3 - h * (u1 * v2 - u2 * v1),
     )
-    return EvenElement(*coeffs) if one else _rows(coeffs)
+    return _result(EvenElement, coeffs, handedness, lhs, rhs)
 
 
 def bivector_identity_residual(handedness, a, b):
@@ -346,11 +354,9 @@ def bivector_identity_residual(handedness, a, b):
     The returned element is that product plus the dot and cross terms, so
     every coefficient vanishes up to rounding.
     """
-    if isinstance(a, Vector3):
-        row = bivector_identity_residual(handedness, [a.x, a.y, a.z], [b.x, b.y, b.z])
-        return EvenElement(*row)
     h = _signs(handedness)
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    residual = even_product(dual_bivector(h, a), dual_bivector(h, b))
-    residual[..., 0] += np.sum(a * b, axis=-1)
-    return residual + dual_bivector(h, np.asarray(h)[..., None] * np.cross(a, b))
+    rows_a, rows_b = _row(a), _row(b)
+    residual = even_product(dual_bivector(h, rows_a), dual_bivector(h, rows_b))
+    residual[..., 0] += np.sum(rows_a * rows_b, axis=-1)
+    residual = residual + dual_bivector(h, np.asarray(h)[..., None] * np.cross(rows_a, rows_b))
+    return _result(EvenElement, np.moveaxis(residual, -1, 0), handedness, a, b)

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .algebra import _columns
 from .protocol import (
     SIGN_CHUNK,
     PolarizerAngle,
@@ -158,21 +159,18 @@ def _mean_sign(n: int, seed: int, threads: int) -> float:
     return _summed_signs(seed, n, threads) / n
 
 
-def single_expectation(
-    theta: PolarizerAngle, n: int, seed: int, threads: int = 1
-) -> CorrelationEstimate:
+def single_expectation(theta, n: int, seed: int, threads: int = 1) -> CorrelationEstimate:
     """Average one station's outcome over ``n`` orientation samples.
 
     Outcomes are pure bivectors, so the scalar mean is exactly zero and
     the bivector mean is the mean sign times the polarizer axis; under
-    the 50/50 orientation law it decays like 1/sqrt(n).
+    the 50/50 orientation law it decays like 1/sqrt(n).  As in
+    :func:`joint_expectation`, a radian array gives array channels.
     """
     mean_sign = _mean_sign(n, seed, threads)
-    axis = polarizer_axis(theta)
+    x, y, z = _columns(polarizer_axis(theta))
     return CorrelationEstimate(
-        scalar_mean=0.0,
-        bivector_mean=(mean_sign * axis.x, mean_sign * axis.y, mean_sign * axis.z),
-        trial_count=n,
+        scalar_mean=0.0, bivector_mean=(mean_sign * x, mean_sign * y, mean_sign * z), trial_count=n
     )
 
 

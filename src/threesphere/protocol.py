@@ -11,7 +11,8 @@ outcomes, taken in the basis the orientation selects, is again a
     ``cos 2(alpha - beta) + sign * sin 2(alpha - beta) * e_xy``.
 
 The axis, outcome and closed-form functions also take arrays of radians
-and of +1/-1 orientation signs, and return stacked rows.
+and of +1/-1 orientation signs, and return stacked rows; among arrays, a
+:class:`PolarizerAngle` or :class:`~.algebra.Handedness` is one row.
 :func:`run_trials` runs the protocol that way: one row per trial, every
 trial at once, returned as the :class:`Trials` columns ``signs``,
 ``alpha``, ``beta``, ``outcome_a``, ``outcome_b`` and ``product``.
@@ -43,7 +44,7 @@ from .algebra import (
     EvenElement,
     Vector3,
     _gap,
-    _rows,
+    _result,
     _signs,
     dual_bivector,
     oriented_even_product,
@@ -162,8 +163,7 @@ def _radians(theta):
 def polarizer_axis(theta):
     """Unit axis ``(sin 2t, cos 2t, 0)`` associated with a polarizer angle."""
     two_t = 2.0 * _radians(theta)
-    coords = (np.sin(two_t), np.cos(two_t), 0.0)
-    return Vector3(*map(float, coords)) if isinstance(theta, PolarizerAngle) else _rows(coords)
+    return _result(Vector3, (np.sin(two_t), np.cos(two_t), 0.0), theta)
 
 
 def alice_outcome(alpha, handedness):
@@ -194,7 +194,7 @@ def joint_product_closed_form(alpha, beta, handedness):
     """
     d = 2.0 * (_radians(alpha) - _radians(beta))
     coeffs = (np.cos(d), 0.0, 0.0, _signs(handedness) * np.sin(d))
-    return EvenElement(*coeffs) if isinstance(alpha, PolarizerAngle) else _rows(coeffs)
+    return _result(EvenElement, coeffs, alpha, beta, handedness)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ demonstration of both facts, the factorization of any 3-sphere point
 into an arbitrary number of unit factors, and the stereographic
 projection between the 2-sphere (minus its north pole) and the plane.
 The constructions also take stacked ``(..., 3)`` sphere, ``(..., 2)``
-plane and ``(N, 4)`` even-element rows.
+plane and ``(N, 4)`` even-element rows; a dataclass among rows is one row.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import RIGHT_HANDED, EvenElement, _columns, _rows, dual_bivector, even_product
+from .algebra import RIGHT_HANDED, EvenElement, _columns, _result, dual_bivector, even_product
 
 __all__ = [
     "NorthPoleError",
@@ -175,13 +175,11 @@ def stereographic_project(p):
     The north pole itself has no image; inputs within ``1e-12`` of it are
     rejected with :class:`NorthPoleError`, for rows if any row is.
     """
-    one = isinstance(p, S2Point)
-    x, y, z = (p.x, p.y, p.z) if one else _columns(p)
+    x, y, z = _columns(p)
     d = 1.0 - z
     if np.any(np.abs(d) <= 1e-12):
         raise NorthPoleError("the north pole has no image under this projection")
-    coords = (x / d, y / d)
-    return PlanePoint(*coords) if one else _rows(coords)
+    return _result(PlanePoint, (x / d, y / d), p)
 
 
 def stereographic_unproject(q):
@@ -190,8 +188,6 @@ def stereographic_unproject(q):
     The height is written ``1 - 2/(1 + r^2)``, which also gives the north
     pole, the limit far from the origin, when ``r^2`` overflows.
     """
-    one = isinstance(q, PlanePoint)
-    u, v = (q.u, q.v) if one else _columns(q)
+    u, v = _columns(q)
     d = u * u + v * v + 1.0
-    coords = (2.0 * u / d, 2.0 * v / d, 1.0 - 2.0 / d)
-    return S2Point(*coords) if one else _rows(coords)
+    return _result(S2Point, (2.0 * u / d, 2.0 * v / d, 1.0 - 2.0 / d), q)

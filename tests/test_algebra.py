@@ -37,6 +37,14 @@ def random_multivector(rng, scale=1.0):
     return Multivector(tuple(rng.uniform(-scale, scale, 8)))
 
 
+@pytest.mark.parametrize(
+    "value, text",
+    [(E_XY + 2 * E_X, "2*e_x + 1*e_xy"), (0 * ONE, "0"), (ONE + -1.5 * E_Z, "1 + -1.5*e_z")],
+)
+def test_multivector_prints_its_nonzero_terms(value, text):
+    assert str(value) == text
+
+
 def vector(x, y, z):
     return x * E_X + y * E_Y + z * E_Z
 

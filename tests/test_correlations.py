@@ -73,6 +73,17 @@ def test_single_estimate_decays_at_a_million_trials():
         assert estimate.bivector_norm <= 0.004
 
 
+def test_single_expectation_takes_radian_arrays():
+    thetas = np.radians([[0.0, 30.0, -112.5], [22.5, 45.0, 179.0]])
+    batch = single_expectation(thetas, 1000, seed=4)
+    assert batch.scalar_mean == 0.0
+    assert all(channel.shape == thetas.shape for channel in batch.bivector_mean)
+    for index, theta in np.ndenumerate(thetas):
+        one = single_expectation(PolarizerAngle(theta), 1000, seed=4)
+        assert all(isinstance(channel, float) for channel in one.bivector_mean)
+        assert tuple(channel[index] for channel in batch.bivector_mean) == one.bivector_mean
+
+
 def test_single_estimate_rejects_zero_trials():
     with pytest.raises(ValueError):
         single_expectation(deg(0.0), 0, seed=0)

@@ -7,8 +7,10 @@ keep memory flat in the sample count.
 """
 
 import functools
+import itertools
 import math
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -314,6 +316,53 @@ def test_stereographic_maps_match_the_dataclass_form(rng):
     assert (plane.u, plane.v) == tuple(images[0])
     sphere = stereographic_unproject(PlanePoint(*images[0]))
     assert (sphere.x, sphere.y, sphere.z) == tuple(backs[0])
+
+
+# Each argument kind: its dataclass made from one row, and a draw of ROWS rows.
+ARGUMENTS = {
+    "sign": (lambda row: Handedness(int(row)), lambda rng: 1.0 - 2.0 * rng.integers(2, size=ROWS)),
+    "angle": (PolarizerAngle, lambda rng: rng.uniform(-2.0 * math.pi, 2.0 * math.pi, ROWS)),
+    "vector": (lambda row: Vector3(*row), lambda rng: rng.standard_normal((ROWS, 3))),
+    "even": (lambda row: EvenElement(*row), lambda rng: rng.standard_normal((ROWS, 4))),
+    "multivector": (lambda row: Multivector(row), lambda rng: rng.standard_normal((ROWS, 8))),
+    "sphere": (lambda row: S2Point(*row), lambda rng: -np.abs(unit_rows(rng, (ROWS,), 3))),
+    "plane": (lambda row: PlanePoint(*row), lambda rng: rng.standard_normal((ROWS, 2))),
+}
+
+ROW_KERNELS = [
+    (geometric_product, ("multivector", "multivector"), Multivector),
+    (wedge, ("multivector", "multivector"), Multivector),
+    (dual_bivector, ("sign", "vector"), EvenElement),
+    (even_product, ("even", "even"), EvenElement),
+    (oriented_even_product, ("sign", "even", "even"), EvenElement),
+    (bivector_identity_residual, ("sign", "vector", "vector"), EvenElement),
+    (s2_nonclosure_witness, ("vector", "vector"), EvenElement),
+    (stereographic_project, ("sphere",), PlanePoint),
+    (stereographic_unproject, ("plane",), S2Point),
+    (polarizer_axis, ("angle",), Vector3),
+    (alice_outcome, ("angle", "sign"), EvenElement),
+    (bob_outcome, ("angle", "sign"), EvenElement),
+    (joint_product_closed_form, ("angle", "angle", "sign"), EvenElement),
+]
+
+
+@pytest.mark.parametrize(
+    "kernel, kinds, result", ROW_KERNELS, ids=[kernel.__name__ for kernel, _, _ in ROW_KERNELS]
+)
+def test_a_dataclass_among_rows_is_one_row(rng, kernel, kinds, result):
+    rows = [ARGUMENTS[kind][1](rng) for kind in kinds]
+    ones = [ARGUMENTS[kind][0](r[0]) for kind, r in zip(kinds, rows)]
+    for picks in itertools.product((False, True), repeat=len(kinds)):
+        mixed = kernel(*(one if pick else r for pick, one, r in zip(picks, ones, rows)))
+        broadcast = (np.broadcast_to(r[0], r.shape) if pick else r for pick, r in zip(picks, rows))
+        expected = kernel(*broadcast)
+        if all(picks):
+            assert type(mixed) is result
+            coeffs = mixed.coeffs if result is Multivector else astuple(mixed)
+            assert all(type(c) is float for c in coeffs)
+            assert coeffs == tuple(expected[0])
+        else:
+            assert isinstance(mixed, np.ndarray) and np.array_equal(mixed, expected), picks
 
 
 @pytest.mark.parametrize("count", [1, 2, 5, 8])
