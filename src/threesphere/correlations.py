@@ -143,14 +143,16 @@ def _summed_signs(seed: int, n: int, threads: int = 1) -> int:
     """Exact sum of the first ``n`` orientation signs for ``seed``.
 
     Each shard sums its own block of the stream; the totals are integers,
-    so the merged result is identical for every shard layout.
+    so the merged result is identical for every shard layout.  The calling
+    thread sums the first shard while a pool opened for this call sums the
+    rest; the pool is joined before the sum returns or raises.
     """
-    plan = sign_sum_plan(n, threads)
-    if len(plan) == 1:
-        return handedness_sign_sum(seed, n)
-    with ThreadPoolExecutor(max_workers=len(plan)) as pool:
-        parts = pool.map(lambda shard: handedness_sign_sum(seed, shard[1], start=shard[0]), plan)
-        return sum(parts)
+    (start, count), *rest = sign_sum_plan(n, threads)
+    if not rest:
+        return handedness_sign_sum(seed, count, start)
+    with ThreadPoolExecutor(max_workers=len(rest)) as pool:
+        parts = [pool.submit(handedness_sign_sum, seed, size, first) for first, size in rest]
+        return handedness_sign_sum(seed, count, start) + sum(part.result() for part in parts)
 
 
 def _mean_sign(n: int, seed: int, threads: int) -> float:

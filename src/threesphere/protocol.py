@@ -65,10 +65,9 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-_U64 = np.uint64
-_GAMMA = _U64(0x9E3779B97F4A7C15)
-_MIX_1 = _U64(0xBF58476D1CE4E5B9)
-_MIX_2 = _U64(0x94D049BB133111EB)
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX_1 = 0xBF58476D1CE4E5B9
+_MIX_2 = 0x94D049BB133111EB
 
 # Draws per chunk of the stream pass; 2**14 and 2**18 both measured slower.
 SIGN_CHUNK = 1 << 16
@@ -80,26 +79,32 @@ def _top_bits(seed: int, count: int, start: int):
     Checks the arguments, then yields one uint64 0/1 view per chunk, overwritten by the next.
     The mixer's final ``z ^= z >> 31`` keeps the top bit and is skipped.  The
     arguments are taken as Python ints, so numpy integers cannot overflow the offset.
+    Every ufunc operand is a 0-d uint64 array and full chunks use the whole
+    buffers, which keeps the GIL-held part of each ufunc call short.
     """
     seed, count, start = map(operator.index, (seed, count, start))
     if count < 0 or start < 0:
         raise ValueError(f"count and start must be non-negative, got {count} and {start}")
+    gamma, mix_1, mix_2, by_30, by_27, by_63 = (
+        np.array(value, dtype=np.uint64) for value in (_GAMMA, _MIX_1, _MIX_2, 30, 27, 63)
+    )
     ramp = np.arange(min(count, SIGN_CHUNK), dtype=np.uint64)
-    ramp *= _GAMMA  # ramp[i] = i * gamma; chunk draws are ramp + (seed + (first + 1) * gamma)
+    ramp *= gamma  # ramp[i] = i * gamma; chunk draws are ramp + (seed + (first + 1) * gamma)
     z, t = np.empty_like(ramp), np.empty_like(ramp)
 
     def chunks():
         for first in range(start, start + count, SIGN_CHUNK):
             size = min(SIGN_CHUNK, start + count - first)
-            zs, ts = z[:size], t[:size]
-            np.add(ramp[:size], _U64((seed + (first + 1) * int(_GAMMA)) & _MASK64), out=zs)
-            np.right_shift(zs, _U64(30), out=ts)
+            rs, zs, ts = (ramp, z, t) if size == ramp.size else (ramp[:size], z[:size], t[:size])
+            offset = np.array((seed + (first + 1) * _GAMMA) & _MASK64, dtype=np.uint64)
+            np.add(rs, offset, out=zs)
+            np.right_shift(zs, by_30, out=ts)
             np.bitwise_xor(zs, ts, out=zs)
-            np.multiply(zs, _MIX_1, out=zs)
-            np.right_shift(zs, _U64(27), out=ts)
+            np.multiply(zs, mix_1, out=zs)
+            np.right_shift(zs, by_27, out=ts)
             np.bitwise_xor(zs, ts, out=zs)
-            np.multiply(zs, _MIX_2, out=zs)
-            np.right_shift(zs, _U64(63), out=ts)
+            np.multiply(zs, mix_2, out=zs)
+            np.right_shift(zs, by_63, out=ts)
             yield ts
     return chunks()
 

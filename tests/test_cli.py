@@ -13,7 +13,7 @@ import pytest
 from threesphere import cli, correlations, suites
 from threesphere.cli import MAX_SAMPLES, MAX_SCAN_ROWS, MAX_SEED, MAX_TRIALS, _scan_betas, main
 from threesphere.correlations import joint_expectation, quantum_reference
-from threesphere.protocol import PolarizerAngle
+from threesphere.protocol import SIGN_CHUNK, PolarizerAngle
 from threesphere.tables import read_table
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -702,6 +702,27 @@ def test_verify_output_does_not_depend_on_the_thread_count(cpus, monkeypatch, ca
 def test_verify_of_one_suite_or_block_starts_no_thread(suite, samples, monkeypatch, thread_starts):
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert run("verify", suite, "--samples", samples) == 0
+    assert thread_starts == []
+
+
+@pytest.mark.parametrize("cpus", [2, 64])
+def test_a_sum_starts_one_thread_per_shard_beyond_the_first(cpus, tmp_path, monkeypatch, thread_starts):
+    """The calling thread sums the first shard, so only the other shards start threads."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    n = 3 * SIGN_CHUNK
+    args = ("simulate", "--alpha-deg", 12, "--beta-deg", 75, "--n", n, "--seed", 11)
+    outputs = []
+    for threads in (1, 2, 64):
+        started = len(thread_starts)
+        out = tmp_path / f"sim{threads}.csv"
+        assert run(*args, "--threads", threads, "--out", out) == 0
+        assert len(thread_starts) - started == len(correlations.sign_sum_plan(n, threads)) - 1
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(thread_starts) == 1 + (min(cpus, 3) - 1)  # none, then --threads 2, then 64
+    thread_starts.clear()
+    assert run("chsh", "--angles-deg", 0, -45, -22.5, 22.5, "--analytic", "--out", tmp_path / "c.csv") == 0
+    assert run("verify", "protocol", "--samples", 100) == 0
     assert thread_starts == []
 
 

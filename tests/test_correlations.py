@@ -1,6 +1,8 @@
 import itertools
 import math
 import os
+import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -189,6 +191,7 @@ def test_shard_plan_covers_the_range_in_whole_chunks(monkeypatch, n, threads):
 
 
 def test_a_huge_thread_request_is_capped_at_the_cpu_count(monkeypatch):
+    """The caller sums one shard, so a pool never has more than ``cpu_count - 1`` workers."""
     workers = []
 
     class InlineExecutor:
@@ -201,15 +204,35 @@ def test_a_huge_thread_request_is_capped_at_the_cpu_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return [fn(item) for item in items]
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(correlations, "ThreadPoolExecutor", InlineExecutor)
     n = 40 * SIGN_CHUNK + 1
-    cpus = os.cpu_count() or 1
-    assert len(sign_sum_plan(n, 10**6)) == min(cpus, 41)
-    assert correlations._summed_signs(5, n, 10**6) == handedness_sign_sum(5, n)
-    assert all(w <= cpus for w in workers)
+    for cpus in (1, 2, 8):
+        monkeypatch.setattr(correlations.os, "cpu_count", lambda c=cpus: c)
+        workers.clear()
+        assert len(sign_sum_plan(n, 10**6)) == cpus
+        assert correlations._summed_signs(5, n, 10**6) == handedness_sign_sum(5, n)
+        assert len(workers) == (cpus > 1) and all(w <= cpus - 1 for w in workers)
+
+
+@pytest.mark.parametrize("where", ["caller", "worker"])
+def test_a_raising_shard_ends_the_sum_and_leaves_no_thread(monkeypatch, where):
+    """The caller sums the shard at 0; whichever shard raises, the error comes out and the pool is joined."""
+    def shard_sum(seed, count, start=0):
+        if (start == 0) == (where == "caller"):
+            raise ArithmeticError(f"shard at {start} broke")
+        return handedness_sign_sum(seed, count, start)
+
+    monkeypatch.setattr(correlations.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(correlations, "handedness_sign_sum", shard_sum)
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="broke"):
+        correlations._summed_signs(5, 4 * SIGN_CHUNK, 4)
+    assert threading.active_count() == before
 
 
 def test_joint_bivector_decays_across_seeds():
