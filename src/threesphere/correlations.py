@@ -11,10 +11,13 @@ integer addition has no rounding.
 The sum comes from :func:`~.protocol.handedness_sign_sum`, which streams
 the orientation draws in fixed chunks, so memory does not grow with the
 trial count.  :func:`sign_sum_plan` splits the trial range into shards of
-whole chunks, one per worker thread, with at most one worker per CPU and
-per chunk.  Given radian arrays, :func:`joint_expectation` makes one sign
-sum for every angle pair, so a scan makes one sum.  The check on the model,
-:func:`quantum_reference`, comes from the photon state; ``chsh`` evaluates it.
+whole chunks, one per thread, with at most one thread per CPU and per
+chunk.  The calling thread sums the first shard and a pool opened for the
+sum takes the others, so ``k`` shards start ``k - 1`` threads and none of
+them outlives the sum.  Given radian arrays, :func:`joint_expectation`
+makes one sign sum for every angle pair, so a scan makes one sum.  The
+check on the model, :func:`quantum_reference`, comes from the photon
+state; ``chsh`` evaluates it.
 
 A correlation is a function of two radian arrays, called once:
 :func:`chsh_value` calls it on the column ``[alpha, alpha']`` and the row
@@ -112,11 +115,12 @@ class ChshSettings:
 
 
 def sign_sum_plan(n: int, threads: int) -> list:
-    """``(start, count)`` shards for summing the first ``n`` signs on ``threads`` workers.
+    """``(start, count)`` shards for summing the first ``n`` signs on ``threads`` threads.
 
     Every shard but the last covers a whole number of :data:`SIGN_CHUNK`
     chunks.  There are ``min(threads, os.cpu_count(), chunks)`` shards, at
-    least one, so no request starts more threads than the host has CPUs.
+    least one.  The calling thread sums one of them, so a sum starts
+    ``shards - 1`` threads and never more than the host has CPUs.
     """
     chunks = -(-n // SIGN_CHUNK)
     shards = max(1, min(threads, os.cpu_count() or 1, chunks))

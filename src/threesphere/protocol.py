@@ -25,11 +25,14 @@ single-thread runs identical.
 
 One pass walks the stream in chunks of :data:`SIGN_CHUNK` draws through
 three preallocated uint64 buffers (1.5 MB, small enough for a per-core L2
-cache); two reductions read it.  :func:`handedness_signs` fills an int64
-array of signs at 8 bytes per sign plus those buffers;
-:func:`handedness_sign_sum`, the estimators' kernel, counts the set top
-bits in constant memory.  Positions ``start`` must be non-negative and are
-taken modulo the counter's period 2**64.
+cache); two reductions read it.  Each call builds its uint64 operands once,
+as 0-d arrays, and full chunks use the whole buffers, so a chunk's nine
+ufunc calls hold the GIL only briefly and passes on several threads
+overlap.  :func:`handedness_signs` fills an int64 array of signs at 8
+bytes per sign plus those buffers; :func:`handedness_sign_sum`, the
+estimators' kernel, counts the set top bits in constant memory.
+Positions ``start`` must be non-negative and are taken modulo the
+counter's period 2**64.
 """
 
 from __future__ import annotations
@@ -79,8 +82,6 @@ def _top_bits(seed: int, count: int, start: int):
     Checks the arguments, then yields one uint64 0/1 view per chunk, overwritten by the next.
     The mixer's final ``z ^= z >> 31`` keeps the top bit and is skipped.  The
     arguments are taken as Python ints, so numpy integers cannot overflow the offset.
-    Every ufunc operand is a 0-d uint64 array and full chunks use the whole
-    buffers, which keeps the GIL-held part of each ufunc call short.
     """
     seed, count, start = map(operator.index, (seed, count, start))
     if count < 0 or start < 0:

@@ -721,7 +721,8 @@ def test_a_sum_starts_one_thread_per_shard_beyond_the_first(cpus, tmp_path, monk
     assert outputs[0] == outputs[1] == outputs[2]
     assert len(thread_starts) == 1 + (min(cpus, 3) - 1)  # none, then --threads 2, then 64
     thread_starts.clear()
-    assert run("chsh", "--angles-deg", 0, -45, -22.5, 22.5, "--analytic", "--out", tmp_path / "c.csv") == 0
+    chsh = ("chsh", "--angles-deg", 0, -45, -22.5, 22.5, "--analytic")
+    assert run(*chsh, "--out", tmp_path / "c.csv") == 0
     assert run("verify", "protocol", "--samples", 100) == 0
     assert thread_starts == []
 

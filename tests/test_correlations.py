@@ -221,7 +221,8 @@ def test_a_huge_thread_request_is_capped_at_the_cpu_count(monkeypatch):
 
 @pytest.mark.parametrize("where", ["caller", "worker"])
 def test_a_raising_shard_ends_the_sum_and_leaves_no_thread(monkeypatch, where):
-    """The caller sums the shard at 0; whichever shard raises, the error comes out and the pool is joined."""
+    """Whichever shard raises, the caller's (start 0) or a worker's, the error comes out
+    of the sum and the pool is joined first."""
     def shard_sum(seed, count, start=0):
         if (start == 0) == (where == "caller"):
             raise ArithmeticError(f"shard at {start} broke")

@@ -16,10 +16,11 @@ def test_paired_ab_times_a_checkout_against_itself():
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
     assert [line.split()[0] for line in lines] == ["ts_a", "ts_b", "calibration", "paired"]
-    assert all(re.search(r"raw median [0-9.e-]+ s, calibrated median [0-9.e-]+ s$", l) for l in lines[:2])
+    side = r"raw median [0-9.e-]+ s, calibrated median [0-9.e-]+ s$"
+    assert all(re.search(side, line) for line in lines[:2])
     assert lines[2].endswith("over 3 runs")
-    assert re.fullmatch(r"paired raw ratio ts_b/ts_a: median [0-9.]+ \[q1 [0-9.]+, q3 [0-9.]+\] over 1 rounds",
-                        lines[3])
+    ratio = r"paired raw ratio ts_b/ts_a: median [0-9.]+ \[q1 [0-9.]+, q3 [0-9.]+\] over 1 rounds"
+    assert re.fullmatch(ratio, lines[3])
 
 
 def test_paired_ab_reports_a_failing_job():

@@ -34,16 +34,13 @@ SIDES = ("ts_a", "ts_b")
 
 def load(roots, into: Path) -> list:
     """Import each root's ``src/threesphere`` as its own package; returns their ``cli`` modules."""
-    clis = []
     for name, root in zip(SIDES, roots):
         source = Path(root) / "src" / "threesphere"
         if not (source / "cli.py").is_file():
             raise SystemExit(f"error: no threesphere package under {Path(root) / 'src'}")
         shutil.copytree(source, into / name, ignore=shutil.ignore_patterns("__pycache__"))
     sys.path.insert(0, str(into))
-    for name in SIDES:
-        clis.append(importlib.import_module(f"{name}.cli"))
-    return clis
+    return [importlib.import_module(f"{name}.cli") for name in SIDES]
 
 
 def job(cli, argv) -> float:
@@ -56,13 +53,6 @@ def job(cli, argv) -> float:
     if code != 0:
         raise SystemExit(f"error: {cli.__name__} exited {code}: {err.getvalue().strip()}")
     return wall
-
-
-def quartiles(values) -> tuple:
-    if len(values) < 2:
-        return values[0], values[0], values[0]
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return median, q1, q3
 
 
 def measure(clis, argv, rounds: int, calibrate) -> dict:
@@ -93,7 +83,8 @@ def report(roots, result, rescaled) -> None:
     print(f"calibration median {statistics.median(result['calibrations']):.6g} s "
           f"over {len(result['calibrations'])} runs")
     ratios = [b[0] / a[0] for a, b in zip(walls["ts_a"], walls["ts_b"])]
-    median, q1, q3 = quartiles(ratios)
+    # quantiles() needs two values; the ratio of a single round is its own quartiles.
+    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
     print(f"paired raw ratio ts_b/ts_a: median {median:.4f} [q1 {q1:.4f}, q3 {q3:.4f}] "
           f"over {len(ratios)} rounds")
 
