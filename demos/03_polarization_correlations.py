@@ -13,7 +13,6 @@ import math
 
 from threesphere import (
     PolarizerAngle,
-    SimulationConfig,
     joint_expectation,
     quantum_reference,
     run_trials,
@@ -26,7 +25,7 @@ beta = PolarizerAngle.from_degrees(0.0)
 # A handful of raw trials, one column per quantity and one row per trial:
 # outcomes are unit bivectors, and the product of each pair lands on the
 # same circle inside the 3-sphere.
-trials = run_trials(SimulationConfig(trial_count=5, seed=1, angles=((alpha, beta),)))
+trials = run_trials(alpha, beta, n=5, seed=1)
 for i, (sign, a, product) in enumerate(zip(trials.signs, trials.outcome_a, trials.product)):
     print(
         f"trial {i}: orientation {sign:+d}, "

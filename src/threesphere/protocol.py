@@ -13,9 +13,11 @@ outcomes, taken in the basis the orientation selects, is again a
 The axis, outcome and closed-form functions also take arrays of radians
 and of +1/-1 orientation signs, and return stacked rows; among arrays, a
 :class:`PolarizerAngle` or :class:`~.algebra.Handedness` is one row.
-:func:`run_trials` runs the protocol that way: one row per trial, every
-trial at once, returned as the :class:`Trials` columns ``signs``,
-``alpha``, ``beta``, ``outcome_a``, ``outcome_b`` and ``product``.
+:func:`run_trials` runs the protocol that way.  It takes the estimators'
+angle arguments, two :class:`PolarizerAngle` or two radian arrays whose
+broadcast pairs are the settings, and returns one row per trial, every
+trial at once, as the :class:`Trials` columns ``signs``, ``alpha``,
+``beta``, ``outcome_a``, ``outcome_b`` and ``product``.
 
 Orientation sampling uses the splitmix64 generator (Steele, Lea and
 Flood, "Fast splittable pseudorandom number generators", OOPSLA 2014), so
@@ -55,7 +57,6 @@ from .algebra import (
 
 __all__ = [
     "PolarizerAngle",
-    "SimulationConfig",
     "Trials",
     "SIGN_CHUNK",
     "handedness_signs",
@@ -203,26 +204,6 @@ def joint_product_closed_form(alpha, beta, handedness):
     return _result(EvenElement, coeffs, alpha, beta, handedness)
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
-    """Trial count, stream seed, and the polarizer angle pairs to run."""
-
-    trial_count: int
-    seed: int
-    angles: tuple
-
-    def __post_init__(self):
-        if self.trial_count < 1:
-            raise ValueError(f"trial_count must be at least 1, got {self.trial_count}")
-        pairs = tuple((alpha, beta) for alpha, beta in self.angles)
-        if not pairs:
-            raise ValueError("at least one angle pair is required")
-        for alpha, beta in pairs:
-            if not isinstance(alpha, PolarizerAngle) or not isinstance(beta, PolarizerAngle):
-                raise ValueError("angles must be pairs of PolarizerAngle")
-        object.__setattr__(self, "angles", pairs)
-
-
 @dataclass(frozen=True, eq=False)
 class Trials:
     """Every trial of a run as columns, in stream order.
@@ -240,20 +221,25 @@ class Trials:
     product: np.ndarray
 
 
-def run_trials(config: SimulationConfig) -> Trials:
-    """Run every angle pair for ``trial_count`` trials, all trials at once.
+def run_trials(alpha, beta, n: int, seed: int) -> Trials:
+    """Run ``n`` trials of every angle pair, all trials at once.
 
-    Angle pair ``p`` takes rows and stream positions ``p*n .. (p+1)*n - 1``,
-    so the same trial always sees the same orientation regardless of how
-    the work is split up.  The direct products are cross-checked against
-    the closed form; a disagreement beyond 1e-12 would mean the algebra
-    and the trig shortcut have diverged, and raises ``ArithmeticError``.
+    The angles are two :class:`PolarizerAngle` or two radian arrays, as for
+    :func:`~.correlations.joint_expectation`; the pairs of their broadcast
+    shape, in C order, are the angle pairs.  Pair ``p`` takes rows and
+    stream positions ``p*n .. (p+1)*n - 1``, so the same trial always sees
+    the same orientation regardless of how the work is split up.  The
+    direct products are cross-checked against the closed form; a
+    disagreement beyond 1e-12 would mean the algebra and the trig shortcut
+    have diverged, and raises ``ArithmeticError``.
     """
-    n = config.trial_count
-    signs = handedness_signs(config.seed, n * len(config.angles))
-    alpha, beta = (
-        np.repeat([angle.radians for angle in column], n) for column in zip(*config.angles)
-    )
+    if n < 1:
+        raise ValueError(f"trial count must be at least 1, got {n}")
+    pairs = np.broadcast_arrays(_radians(alpha), _radians(beta))
+    if not pairs[0].size:
+        raise ValueError("at least one angle pair is required")
+    signs = handedness_signs(seed, n * pairs[0].size)
+    alpha, beta = (np.repeat(column.ravel(), n) for column in pairs)
     outcome_a = alice_outcome(alpha, signs)
     outcome_b = bob_outcome(beta, signs)
     product = oriented_even_product(signs, outcome_a, outcome_b)

@@ -21,6 +21,7 @@ balance check is that kernel's one sum over the whole stream.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,7 +48,6 @@ from .protocol import (
 from .topology import (
     NorthPoleError,
     S2Point,
-    _leading_products,
     _random_unit_rows,
     factorize_s3_point,
     s2_nonclosure_witness,
@@ -195,8 +195,8 @@ def topology_suite(samples: int = 1000, seed: int = 0) -> list:
         pole_accepted = 0.0
 
     # Instance i splits its target into 1 + i % 8 factors.  A block is factorized
-    # in one call, under a fresh seed, and each row is multiplied back over its
-    # own factors only, not the identities padding the shorter rows.  The pole
+    # in one call, under a fresh seed, and multiplied back over all its slots;
+    # the identities padding the shorter rows multiply exactly.  The pole
     # check is one fixed instance, so every block reports it.
     def block(start, size):
         a, b = _random_unit_rows(rng, 3, 2, size)
@@ -208,7 +208,7 @@ def topology_suite(samples: int = 1000, seed: int = 0) -> list:
         closure = _gap(np.sum(even_product(p, q) ** 2, axis=1), 1.0)
         counts = 1 + (start + np.arange(size)) % 8
         factors = factorize_s3_point(p, counts, seed=int(rng.integers(2**31)))
-        multiplied_back = _gap(_leading_products(factors, counts, even_product), p)
+        multiplied_back = _gap(functools.reduce(even_product, factors.swapaxes(0, 1)), p)
         del p, q
         return (
             round_trip,

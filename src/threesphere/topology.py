@@ -12,6 +12,7 @@ plane and ``(N, 4)`` even-element rows; a dataclass among rows is one row.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -97,22 +98,6 @@ def _random_unit_rows(rng: np.random.Generator, width: int, *shape: int) -> np.n
     return rows
 
 
-def _leading_products(factors, lengths, product):
-    """Ordered ``product`` of each row's first ``max(1, length)`` slots of ``(N, slots, 4)`` rows.
-
-    Only those slots are multiplied.  The rows are sorted by length once,
-    with a stable sort, so the rows still to multiply at each slot are a
-    shrinking contiguous suffix; the result is in the input row order.
-    """
-    order = np.argsort(lengths, kind="stable")
-    firsts = np.searchsorted(lengths[order], np.arange(1, factors.shape[1]), side="right")
-    products = factors[order, 0]
-    for k, first in enumerate(firsts, start=1):
-        products[first:] = product(products[first:], factors[order[first:], k])
-    products[order] = products.copy()
-    return products
-
-
 def factorize_s3_point(target, count, seed: int):
     """Split a 3-sphere point into ``count`` unit factors that multiply back to it.
 
@@ -152,7 +137,7 @@ def factorize_s3_point(target, count, seed: int):
     factors[..., 0] = 1.0
     drawn = np.arange(width + 1) < counts[:, None] - 1
     factors[drawn] = _random_unit_rows(np.random.default_rng(seed), 4, int(np.count_nonzero(drawn)))
-    prefix = _leading_products(factors[:, :width], counts - 1, even_product)
+    prefix = functools.reduce(even_product, factors[:, :width].swapaxes(0, 1))
     last = even_product(prefix * np.array([1.0, -1.0, -1.0, -1.0]), targets)
     last /= np.linalg.norm(last, axis=1, keepdims=True)
     factors[np.arange(len(targets)), counts - 1] = last

@@ -22,7 +22,6 @@ from threesphere.correlations import (
 from threesphere.protocol import (
     SIGN_CHUNK,
     PolarizerAngle,
-    SimulationConfig,
     handedness_sign_sum,
     handedness_signs,
     run_trials,
@@ -124,7 +123,7 @@ def test_joint_estimate_equals_the_per_record_average():
     alpha, beta = PolarizerAngle(0.35), PolarizerAngle(-0.6)
     n = 10**5
     estimate = joint_expectation(alpha, beta, n, seed=77)
-    trials = run_trials(SimulationConfig(trial_count=n, seed=77, angles=((alpha, beta),)))
+    trials = run_trials(alpha, beta, n, seed=77)
     averaged = [math.fsum(column) / n for column in trials.product.T]
     assert abs(estimate.scalar_mean - averaged[0]) <= 1e-12
     for got, brute in zip(estimate.bivector_mean, averaged[1:]):

@@ -15,7 +15,6 @@ from threesphere import correlations, protocol
 from threesphere.protocol import (
     SIGN_CHUNK,
     PolarizerAngle,
-    SimulationConfig,
     alice_outcome,
     bob_outcome,
     handedness_sign_sum,
@@ -301,28 +300,20 @@ COLUMNS = ("signs", "alpha", "beta", "outcome_a", "outcome_b", "product")
 
 
 def test_single_trial_at_equal_angles_yields_the_scalar_one():
-    config = SimulationConfig(
-        trial_count=1, seed=3, angles=((PolarizerAngle(0.0), PolarizerAngle(0.0)),)
-    )
-    trials = run_trials(config)
+    trials = run_trials(PolarizerAngle(0.0), PolarizerAngle(0.0), 1, seed=3)
     assert trials.product.shape == (1, 4)
     assert trials.product.tolist() == [[1.0, 0.0, 0.0, 0.0]]
 
 
 def test_runs_are_bit_identical_for_a_fixed_seed():
-    config = SimulationConfig(
-        trial_count=4, seed=17, angles=((PolarizerAngle(0.1), PolarizerAngle(0.7)),)
-    )
-    first, second = run_trials(config), run_trials(config)
+    config = (PolarizerAngle(0.1), PolarizerAngle(0.7), 4, 17)
+    first, second = run_trials(*config), run_trials(*config)
     for name in COLUMNS:
         assert np.array_equal(getattr(first, name), getattr(second, name))
 
 
 def test_every_record_scalar_part_is_orientation_free():
-    config = SimulationConfig(
-        trial_count=1000, seed=5, angles=((PolarizerAngle(math.pi / 8.0), PolarizerAngle(0.0)),)
-    )
-    trials = run_trials(config)
+    trials = run_trials(PolarizerAngle(math.pi / 8.0), PolarizerAngle(0.0), 1000, seed=5)
     assert trials.signs.shape == (1000,) and trials.signs.dtype == np.int64
     assert set(trials.signs.tolist()) == {1, -1}
     for name in ("outcome_a", "outcome_b", "product"):
@@ -335,10 +326,7 @@ def test_every_record_scalar_part_is_orientation_free():
 
 
 def test_each_angle_pair_uses_its_own_stream_block():
-    pair_a = (PolarizerAngle(0.2), PolarizerAngle(0.9))
-    pair_b = (PolarizerAngle(1.1), PolarizerAngle(0.4))
-    config = SimulationConfig(trial_count=8, seed=21, angles=(pair_a, pair_b))
-    trials = run_trials(config)
+    trials = run_trials(np.array([0.2, 1.1]), np.array([0.9, 0.4]), 8, seed=21)
     assert np.array_equal(trials.signs, handedness_signs(21, 16))
     assert np.array_equal(trials.alpha, [0.2] * 8 + [1.1] * 8)
     assert np.array_equal(trials.beta, [0.9] * 8 + [0.4] * 8)
@@ -349,14 +337,12 @@ def test_columns_equal_the_per_trial_records():
     # the protocol ran before it took columns; the signs are pinned too.
     pairs = ((0.35, -0.6), (1.1, 0.4))
     n = 10**4
-    config = SimulationConfig(
-        n, 77, tuple((PolarizerAngle(a), PolarizerAngle(b)) for a, b in pairs)
-    )
-    trials = run_trials(config)
+    angles = tuple((PolarizerAngle(a), PolarizerAngle(b)) for a, b in pairs)
+    trials = run_trials(*np.array(pairs).T, n, 77)
     digest = hashlib.sha256(trials.signs.astype("<i8").tobytes()).hexdigest()
     assert digest == "d342fe1f6fd443f806fc66ea8c2a8d0baadcb684123bbf609e5429e4eceaf676"
     expected = {name: [] for name in COLUMNS}
-    for p, (alpha, beta) in enumerate(config.angles):
+    for p, (alpha, beta) in enumerate(angles):
         for sign in handedness_signs(77, n, start=p * n):
             handed = RIGHT_HANDED if sign > 0 else LEFT_HANDED
             a, b = alice_outcome(alpha, handed), bob_outcome(beta, handed)
@@ -379,18 +365,32 @@ def test_a_closed_form_disagreement_raises(monkeypatch):
         return rows
 
     monkeypatch.setattr(protocol, "joint_product_closed_form", flipped)
-    config = SimulationConfig(
-        trial_count=10, seed=4, angles=((PolarizerAngle(0.3), PolarizerAngle(0.0)),)
-    )
     with pytest.raises(ArithmeticError):
-        run_trials(config)
+        run_trials(PolarizerAngle(0.3), PolarizerAngle(0.0), 10, seed=4)
 
 
 def test_config_validation():
-    pair = (PolarizerAngle(0.0), PolarizerAngle(0.0))
-    with pytest.raises(ValueError):
-        SimulationConfig(trial_count=0, seed=0, angles=(pair,))
-    with pytest.raises(ValueError):
-        SimulationConfig(trial_count=1, seed=0, angles=())
-    with pytest.raises(ValueError):
-        SimulationConfig(trial_count=1, seed=0, angles=((0.0, 1.0),))
+    """A run needs at least one trial, at least one angle pair and finite angles."""
+    with pytest.raises(ValueError, match="at least 1"):
+        run_trials(PolarizerAngle(0.0), PolarizerAngle(0.0), 0, seed=0)
+    with pytest.raises(ValueError, match="angle pair"):
+        run_trials(np.array([]), np.array([]), 1, seed=0)
+    with pytest.raises(ValueError, match="angle pair"):
+        run_trials(np.zeros(3)[:, None], np.zeros((1, 0)), 1, seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        run_trials(np.array([0.0, math.nan]), np.array([1.0, 1.0]), 1, seed=0)
+
+
+def test_broadcast_angle_pairs_are_the_one_pair_runs_laid_end_to_end():
+    """Pair ``p`` of the broadcast ``(3, 2)`` angles, in C order, takes stream block ``p``.
+
+    A one-pair run of ``(p + 1) * n`` trials ends with that block.
+    """
+    alphas, betas = np.array([0.35, -0.6, 1.4]), np.array([1.1, 0.4])
+    n, seed = 7, 123
+    trials = run_trials(alphas[:, None], betas[None, :], n, seed)
+    pairs = [(PolarizerAngle(a), PolarizerAngle(b)) for a in alphas for b in betas]
+    runs = [run_trials(a, b, (p + 1) * n, seed) for p, (a, b) in enumerate(pairs)]
+    for name in COLUMNS:
+        blocks = [getattr(run, name)[p * n :] for p, run in enumerate(runs)]
+        assert np.array_equal(getattr(trials, name), np.concatenate(blocks)), name

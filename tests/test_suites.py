@@ -6,7 +6,6 @@ be able to fail when the code it checks is wrong, and the block size must
 keep memory flat in the sample count.
 """
 
-import functools
 import itertools
 import math
 import tracemalloc
@@ -424,10 +423,9 @@ def test_mixed_factor_counts_draw_only_the_slots_they_use(rng):
 
 
 def padded_factorization(targets, count, seed):
-    """The factorization whose prefix multiplies every row at every slot, padding included.
+    """The factorization as an explicit loop over every slot, padding included.
 
-    The identity padding is exact, so the drawn-slot loop must give the same factors.
-    ``topology.even_product`` is looked up at call time, as the library's loop does.
+    ``topology.even_product`` is looked up at call time, as the library's product does.
     """
     counts = np.broadcast_to(np.asarray(count), targets.shape[:1])
     width = int(counts.max(initial=1)) - 1
@@ -465,15 +463,7 @@ def test_factorization_skipping_the_padding_equals_the_padded_loop(rng, counts):
     assert np.array_equal(factors, expected)
 
 
-@pytest.mark.parametrize("counts", MIXED_COUNTS.values(), ids=MIXED_COUNTS)
-def test_multiplying_the_used_slots_equals_the_product_over_all_slots(rng, counts):
-    factors = factorize_s3_point(unit_rows(rng, (ROWS,), 4), counts, seed=11)
-    counts = np.broadcast_to(counts, (ROWS,))
-    whole = functools.reduce(even_product, factors.swapaxes(0, 1))
-    assert np.array_equal(topology._leading_products(factors, counts, even_product), whole)
-
-
-def test_a_topology_block_multiplies_only_the_drawn_slots(monkeypatch):
+def test_a_topology_block_multiplies_every_slot(monkeypatch):
     rows = []
 
     def counted(lhs, rhs):
@@ -483,16 +473,12 @@ def test_a_topology_block_multiplies_only_the_drawn_slots(monkeypatch):
     monkeypatch.setattr(topology, "even_product", counted)
     monkeypatch.setattr(suites, "even_product", counted)
     suites.topology_suite(samples=suites.BLOCK)
-    # Besides the prefix loop and the multiply-back check, the last factor, the
-    # equator witness and the closure check each multiply the block once.
+    # Every product takes the whole block.  Besides the prefix over the first 7
+    # slots and the multiply-back over all 8, the last factor, the equator
+    # witness and the closure check each multiply the block once.
+    assert set(rows) == {suites.BLOCK}
     others = 3 * suites.BLOCK
-    assert sum(rows) - others == 10_752 + 14_336 == 25_088
-    # The padded loop and a product over all 8 slots, less the reference's last factor.
-    del rows[:]
-    p = _random_unit_rows(np.random.default_rng(0), 4, suites.BLOCK)
-    factors = padded_factorization(p, 1 + np.arange(suites.BLOCK) % 8, seed=0)
-    functools.reduce(counted, factors.swapaxes(0, 1))
-    assert sum(rows) - suites.BLOCK == 6 * suites.BLOCK + 7 * suites.BLOCK == 53_248
+    assert sum(rows) - others == 6 * suites.BLOCK + 7 * suites.BLOCK == 24_576 + 28_672 == 53_248
 
 
 @pytest.mark.parametrize("width", [3, 4])
