@@ -12,6 +12,14 @@ calibration, and the median over rounds of the B/A ratio of the round's two
 raw times, with its quartiles.  The two jobs of a round see the same host
 phase, so the paired ratio needs no rescaling: a calibrated difference the
 raw ratio does not show comes from the calibration, not from the code.
+
+Its last line says whether the difference is real: the rounds in which
+``ts_b`` was faster, the exact two-sided sign-test p-value of that count
+(rounds with equal times are left out of the test), and a percentile
+bootstrap 95% interval of the median ratio, from 10,000 resamples drawn
+with a fixed seed.  The null is the same command with one checkout on both
+sides, ``paired_ab.py ROOT ROOT``: its interval shows how far a ratio moves
+when the code does not change.
 """
 
 from __future__ import annotations
@@ -21,6 +29,8 @@ import contextlib
 import gc
 import importlib
 import io
+import math
+import random
 import shutil
 import statistics
 import sys
@@ -73,6 +83,20 @@ def measure(clis, argv, rounds: int, calibrate) -> dict:
     return {"walls": walls, "calibrations": calibrations}
 
 
+def sign_test_p(wins: int, rounds: int) -> float:
+    """Exact two-sided sign-test p-value of ``wins`` in ``rounds`` fair coin flips."""
+    tail = sum(math.comb(rounds, k) for k in range(min(wins, rounds - wins) + 1))
+    return min(1.0, 2.0 * tail / 2**rounds)
+
+
+def bootstrap_median_interval(ratios, resamples: int = 10_000, seed: int = 0) -> tuple:
+    """Percentile bootstrap 95% interval of the median of ``ratios``, from a fixed seed."""
+    draw = random.Random(seed).choices
+    medians = [statistics.median(draw(ratios, k=len(ratios))) for _ in range(resamples)]
+    cuts = statistics.quantiles(medians, n=40, method="inclusive")
+    return cuts[0], cuts[-1]
+
+
 def report(roots, result, rescaled) -> None:
     walls = result["walls"]
     for name, root in zip(SIDES, roots):
@@ -87,6 +111,11 @@ def report(roots, result, rescaled) -> None:
     q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
     print(f"paired raw ratio ts_b/ts_a: median {median:.4f} [q1 {q1:.4f}, q3 {q3:.4f}] "
           f"over {len(ratios)} rounds")
+    wins, ties = sum(r < 1.0 for r in ratios), sum(r == 1.0 for r in ratios)
+    low, high = bootstrap_median_interval(ratios)
+    print(f"ts_b faster in {wins} of {len(ratios)} rounds, sign test "
+          f"p = {sign_test_p(wins, len(ratios) - ties):.3g}; "
+          f"median ratio 95% bootstrap interval [{low:.4f}, {high:.4f}]")
 
 
 def main(argv=None) -> int:
