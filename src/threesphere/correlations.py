@@ -5,19 +5,20 @@ e_xy``: a constant scalar channel plus a bivector channel proportional to
 the orientation sign.  The estimators therefore reduce the Monte Carlo
 average to the exact integer sum of the +1/-1 signs.  That keeps the
 scalar mean equal to ``cos 2(a-b)`` to the last bit at any trial count,
-and makes merging per-shard sums bit-identical to a single pass, since
+and makes merging per-thread sums bit-identical to a single pass, since
 integer addition has no rounding.
 
-The sum comes from :func:`~.protocol.handedness_sign_sum`, which streams
-the orientation draws in fixed chunks, so memory does not grow with the
-trial count.  :func:`sign_sum_plan` splits the trial range into shards of
-whole chunks, one per thread, with at most one thread per CPU and per
-chunk.  The calling thread sums the first shard and a pool opened for the
-sum takes the others, so ``k`` shards start ``k - 1`` threads and none of
-them outlives the sum.  Given radian arrays, :func:`joint_expectation`
-makes one sign sum for every angle pair, so a scan makes one sum.  The
-check on the model, :func:`quantum_reference`, comes from the photon
-state; ``chsh`` evaluates it.
+The sum streams the orientation draws through the pass behind
+:func:`~.protocol.handedness_sign_sum`, in chunks of
+:data:`~.protocol.SIGN_CHUNK` draws, so memory does not grow with the
+trial count.  :func:`sign_sum_plan` decides how many threads share the sum:
+at most one per CPU and per chunk.  The calling thread and a pool opened
+for the sum claim chunks from one shared range until none is left, so ``k``
+threads start ``k - 1`` and none of them outlives the sum.  Given radian
+arrays, :func:`joint_expectation` makes one sign sum for every angle pair,
+so a scan makes one sum.  The check on the model,
+:func:`quantum_reference`, comes from the photon state; ``chsh``
+evaluates it.
 
 A correlation is a function of two radian arrays, called once:
 :func:`chsh_value` calls it on the column ``[alpha, alpha']`` and the row
@@ -45,7 +46,7 @@ from .protocol import (
     SIGN_CHUNK,
     PolarizerAngle,
     _radians,
-    handedness_sign_sum,
+    _top_bits,
     handedness_signs,  # noqa: F401  (re-exported; callers look it up here)
     polarizer_axis,
 )
@@ -115,12 +116,13 @@ class ChshSettings:
 
 
 def sign_sum_plan(n: int, threads: int) -> list:
-    """``(start, count)`` shards for summing the first ``n`` signs on ``threads`` threads.
+    """One ``(start, count)`` range of whole :data:`SIGN_CHUNK` chunks per thread of a sum.
 
-    Every shard but the last covers a whole number of :data:`SIGN_CHUNK`
-    chunks.  There are ``min(threads, os.cpu_count(), chunks)`` shards, at
-    least one.  The calling thread sums one of them, so a sum starts
-    ``shards - 1`` threads and never more than the host has CPUs.
+    There are ``min(threads, os.cpu_count(), chunks)`` ranges, at least one,
+    and that number is all the sum reads: its threads claim chunks from one
+    shared range, so the ranges describe no work.  The calling thread takes
+    part, so a sum starts ``len(plan) - 1`` threads and never more than the
+    host has CPUs.
     """
     chunks = -(-n // SIGN_CHUNK)
     shards = max(1, min(threads, os.cpu_count() or 1, chunks))
@@ -135,7 +137,7 @@ def sign_sum_plan(n: int, threads: int) -> list:
 
 
 def stream_summary(n: int, threads: int) -> dict:
-    """Shards, chunk size and chunks summed for one sign sum over ``n`` trials."""
+    """Threads that share one sign sum over ``n`` trials, its chunk size and its chunks."""
     return {
         "shards": len(sign_sum_plan(n, threads)),
         "chunk_size": SIGN_CHUNK,
@@ -146,17 +148,25 @@ def stream_summary(n: int, threads: int) -> dict:
 def _summed_signs(seed: int, n: int, threads: int = 1) -> int:
     """Exact sum of the first ``n`` orientation signs for ``seed``.
 
-    Each shard sums its own block of the stream; the totals are integers,
-    so the merged result is identical for every shard layout.  The calling
-    thread sums the first shard while a pool opened for this call sums the
-    rest; the pool is joined before the sum returns or raises.
+    The calling thread and ``len(sign_sum_plan(n, threads)) - 1`` threads of
+    a pool opened for this call take chunk starts from one shared iterator,
+    each into its own buffers, until none is left; a thread that starts late
+    or runs slow takes fewer chunks.  Each claim is one ``next()`` on a
+    ``range`` iterator, which holds the GIL throughout, so no chunk is taken
+    twice.  The totals are integers, so the sum is identical for every split
+    of the chunks.  The pool is joined before the sum returns or raises.
     """
-    (start, count), *rest = sign_sum_plan(n, threads)
-    if not rest:
-        return handedness_sign_sum(seed, count, start)
-    with ThreadPoolExecutor(max_workers=len(rest)) as pool:
-        parts = [pool.submit(handedness_sign_sum, seed, size, first) for first, size in rest]
-        return handedness_sign_sum(seed, count, start) + sum(part.result() for part in parts)
+    firsts = iter(range(0, n, SIGN_CHUNK))
+
+    def negatives() -> int:
+        return sum(np.count_nonzero(negative) for _, negative in _top_bits(seed, firsts, n))
+
+    workers = len(sign_sum_plan(n, threads)) - 1
+    if not workers:
+        return n - 2 * negatives()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = [pool.submit(negatives) for _ in range(workers)]
+        return n - 2 * (negatives() + sum(part.result() for part in parts))
 
 
 def _mean_sign(n: int, seed: int, threads: int) -> float:

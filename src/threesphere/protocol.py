@@ -25,14 +25,19 @@ the i-th draw is a pure function of ``(seed, i)``: any contiguous block of
 trials can be recomputed independently, which is what makes sharded and
 single-thread runs identical.
 
-One pass walks the stream in chunks of :data:`SIGN_CHUNK` draws through
-three preallocated uint64 buffers (1.5 MB, small enough for a per-core L2
-cache); two reductions read it.  Each call builds its uint64 operands once,
-as 0-d arrays, and full chunks use the whole buffers, so a chunk's nine
-ufunc calls hold the GIL only briefly and passes on several threads
-overlap.  :func:`handedness_signs` fills an int64 array of signs at 8
-bytes per sign plus those buffers; :func:`handedness_sign_sum`, the
-estimators' kernel, counts the set top bits in constant memory.
+One pass, :func:`_top_bits`, walks the stream in chunks of
+:data:`SIGN_CHUNK` draws through three preallocated uint64 buffers and one
+bool buffer (1.6 MB, small enough for a per-core L2 cache); two reductions
+read it.  It takes the chunk starts as an argument, so threads that share
+one iterator of them split a sum between them.  Each call builds its uint64
+operands once, as 0-d arrays, and full chunks use the whole buffers, so a
+chunk's eight ufunc calls hold the GIL only briefly and passes on several
+threads overlap.  The last of them writes the draws' top bits, read as the
+sign bits of their float64 view, into the bool buffer.
+:func:`handedness_signs` maps those to an int64 array of signs at 8 bytes
+per sign plus the buffers; :func:`handedness_sign_sum`, the estimators'
+kernel, counts them in constant memory.  Buffers are sized to the first
+chunk a call takes, so calls shorter than a chunk get short ones.
 Positions ``start`` must be non-negative and are taken modulo the
 counter's period 2**64.
 """
@@ -77,38 +82,50 @@ _MIX_2 = 0x94D049BB133111EB
 SIGN_CHUNK = 1 << 16
 
 
-def _top_bits(seed: int, count: int, start: int):
-    """Top bits of the splitmix64 draws ``start .. start+count-1`` for ``seed``.
+def _top_bits(seed: int, firsts, end: int):
+    """Sign bits of the splitmix64 draws for ``seed``, one chunk per start taken from ``firsts``.
 
-    Checks the arguments, then yields one uint64 0/1 view per chunk, overwritten by the next.
-    The mixer's final ``z ^= z >> 31`` keeps the top bit and is skipped.  The
-    arguments are taken as Python ints, so numpy integers cannot overflow the offset.
+    ``firsts`` is an iterable of chunk starts in increasing order, ``SIGN_CHUNK`` apart,
+    and the chunk at ``first`` covers draws ``first .. min(first + SIGN_CHUNK, end) - 1``.
+    Yields each chunk's start and a bool view, True where the draw is negative,
+    overwritten by the next chunk.  The first start taken sizes the buffers,
+    so a short contiguous range gets short ones.  The mixer's final
+    ``z ^= z >> 31`` keeps the top bit and is skipped; ``np.signbit`` reads
+    that bit through the float64 view of every bit pattern, NaNs included.
     """
-    seed, count, start = map(operator.index, (seed, count, start))
+    seed = operator.index(seed)  # a Python int, so a numpy seed cannot overflow the offset
+    gamma, mix_1, mix_2, by_30, by_27 = (
+        np.array(value, dtype=np.uint64) for value in (_GAMMA, _MIX_1, _MIX_2, 30, 27)
+    )
+    ramp = None
+    for first in firsts:
+        size = min(SIGN_CHUNK, end - first)
+        if ramp is None:
+            ramp = np.arange(size, dtype=np.uint64)
+            ramp *= gamma  # ramp[i] = i * gamma; chunk draws are ramp + (seed + (first + 1) * gamma)
+            z, t, negative = np.empty_like(ramp), np.empty_like(ramp), np.empty(size, dtype=bool)
+        rs, zs, ts, ns = (
+            (ramp, z, t, negative) if size == ramp.size
+            else (ramp[:size], z[:size], t[:size], negative[:size])
+        )
+        offset = np.array((seed + (first + 1) * _GAMMA) & _MASK64, dtype=np.uint64)
+        np.add(rs, offset, out=zs)
+        np.right_shift(zs, by_30, out=ts)
+        np.bitwise_xor(zs, ts, out=zs)
+        np.multiply(zs, mix_1, out=zs)
+        np.right_shift(zs, by_27, out=ts)
+        np.bitwise_xor(zs, ts, out=zs)
+        np.multiply(zs, mix_2, out=zs)
+        np.signbit(zs.view(np.float64), out=ns)
+        yield first, ns
+
+
+def _checked(count, start) -> tuple:
+    """``count`` and ``start`` as Python ints, so numpy integers cannot overflow the offset."""
+    count, start = operator.index(count), operator.index(start)
     if count < 0 or start < 0:
         raise ValueError(f"count and start must be non-negative, got {count} and {start}")
-    gamma, mix_1, mix_2, by_30, by_27, by_63 = (
-        np.array(value, dtype=np.uint64) for value in (_GAMMA, _MIX_1, _MIX_2, 30, 27, 63)
-    )
-    ramp = np.arange(min(count, SIGN_CHUNK), dtype=np.uint64)
-    ramp *= gamma  # ramp[i] = i * gamma; chunk draws are ramp + (seed + (first + 1) * gamma)
-    z, t = np.empty_like(ramp), np.empty_like(ramp)
-
-    def chunks():
-        for first in range(start, start + count, SIGN_CHUNK):
-            size = min(SIGN_CHUNK, start + count - first)
-            rs, zs, ts = (ramp, z, t) if size == ramp.size else (ramp[:size], z[:size], t[:size])
-            offset = np.array((seed + (first + 1) * _GAMMA) & _MASK64, dtype=np.uint64)
-            np.add(rs, offset, out=zs)
-            np.right_shift(zs, by_30, out=ts)
-            np.bitwise_xor(zs, ts, out=zs)
-            np.multiply(zs, mix_1, out=zs)
-            np.right_shift(zs, by_27, out=ts)
-            np.bitwise_xor(zs, ts, out=zs)
-            np.multiply(zs, mix_2, out=zs)
-            np.right_shift(zs, by_63, out=ts)
-            yield ts
-    return chunks()
+    return count, start
 
 
 def handedness_signs(seed: int, count: int, start: int = 0) -> np.ndarray:
@@ -116,22 +133,23 @@ def handedness_signs(seed: int, count: int, start: int = 0) -> np.ndarray:
 
     Returns int64 +1/-1 values; element ``i`` depends only on ``(seed, start+i)``.
     """
-    chunks = _top_bits(seed, count, start)
+    count, start = _checked(count, start)
     signs = np.empty(count, dtype=np.int64)
-    for first, bits in zip(range(0, count, SIGN_CHUNK), chunks):
-        out = signs[first : first + bits.size]
-        np.multiply(bits.view(np.int64), -2, out=out)
-        out += 1
+    for first, negative in _top_bits(seed, range(start, start + count, SIGN_CHUNK), start + count):
+        flags = negative.view(np.int8)
+        np.multiply(flags, -2, out=flags)  # 0 or -2, in the chunk's own buffer
+        np.add(flags, 1, out=signs[first - start : first - start + flags.size])
     return signs
 
 
 def handedness_sign_sum(seed: int, count: int, start: int = 0) -> int:
     """Exact sum of orientation signs ``start .. start+count-1`` for ``seed``.
 
-    Equals ``int(handedness_signs(seed, count, start).sum())``; counts set top bits.
+    Equals ``int(handedness_signs(seed, count, start).sum())``; counts the negative draws.
     """
-    negatives = sum(int(np.add.reduce(bits)) for bits in _top_bits(seed, count, start))
-    return count - 2 * negatives
+    count, start = _checked(count, start)
+    bits = _top_bits(seed, range(start, start + count, SIGN_CHUNK), start + count)
+    return count - 2 * sum(np.count_nonzero(negative) for _, negative in bits)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import threading
+import time
 from concurrent.futures import Future
 
 import numpy as np
@@ -218,21 +219,67 @@ def test_a_huge_thread_request_is_capped_at_the_cpu_count(monkeypatch):
         assert len(workers) == (cpus > 1) and all(w <= cpus - 1 for w in workers)
 
 
+def _thread_hook(monkeypatch, before_claims):
+    """Patch the stream pass the sharded sum calls in each thread.
+
+    ``before_claims(in_caller)`` runs in each summing thread before its first claim and
+    returns a function called on each chunk it sums, with the chunk start.
+    """
+    caller = threading.current_thread()
+    top_bits = correlations._top_bits
+
+    def hooked(seed, firsts, end):
+        on_chunk = before_claims(threading.current_thread() is caller)
+        for first, negative in top_bits(seed, firsts, end):
+            on_chunk(first)
+            yield first, negative
+
+    monkeypatch.setattr(correlations, "_top_bits", hooked)
+
+
 @pytest.mark.parametrize("where", ["caller", "worker"])
 def test_a_raising_shard_ends_the_sum_and_leaves_no_thread(monkeypatch, where):
-    """Whichever shard raises, the caller's (start 0) or a worker's, the error comes out
-    of the sum and the pool is joined first."""
-    def shard_sum(seed, count, start=0):
-        if (start == 0) == (where == "caller"):
-            raise ArithmeticError(f"shard at {start} broke")
-        return handedness_sign_sum(seed, count, start)
+    """Whichever thread's claimed chunk raises, the caller's or a pool thread's, the error
+    comes out of the sum and the pool is joined first."""
+    broke = threading.Event()
+
+    def before_claims(in_caller):
+        if in_caller != (where == "caller"):
+            broke.wait(timeout=10)  # the other side claims only after a chunk has broken
+            return lambda first: None
+
+        def on_chunk(first):
+            broke.set()
+            raise ArithmeticError(f"chunk at {first} broke")
+        return on_chunk
 
     monkeypatch.setattr(correlations.os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(correlations, "handedness_sign_sum", shard_sum)
+    _thread_hook(monkeypatch, before_claims)
     before = threading.active_count()
     with pytest.raises(ArithmeticError, match="broke"):
         correlations._summed_signs(5, 4 * SIGN_CHUNK, 4)
+    assert broke.is_set()
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("slowed", ["caller", "worker"])
+def test_a_slowed_thread_takes_fewer_chunks(monkeypatch, slowed):
+    """The two threads claim chunks from one shared range: while one sleeps before its
+    first claim, the other sums more than half of them, and each chunk is summed once."""
+    n = 16 * SIGN_CHUNK - 5
+    summed = []
+
+    def before_claims(in_caller):
+        if in_caller == (slowed == "caller"):
+            time.sleep(0.1)
+        return lambda first: summed.append((in_caller, first))
+
+    monkeypatch.setattr(correlations.os, "cpu_count", lambda: 2)
+    _thread_hook(monkeypatch, before_claims)
+    assert correlations._summed_signs(3, n, 2) == handedness_sign_sum(3, n)
+    assert sorted(first for _, first in summed) == list(range(0, n, SIGN_CHUNK))
+    unslowed = sum(in_caller != (slowed == "caller") for in_caller, _ in summed)
+    assert unslowed > len(summed) / 2
 
 
 def test_joint_bivector_decays_across_seeds():

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import re
 import statistics
 import subprocess
@@ -22,15 +23,29 @@ def test_paired_ab_times_a_checkout_against_itself():
     )
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
-    assert [line.split()[0] for line in lines] == ["ts_a", "ts_b", "calibration", "paired", "ts_b"]
-    side = r"raw median [0-9.e-]+ s, calibrated median [0-9.e-]+ s$"
-    assert all(re.search(side, line) for line in lines[:2])
-    assert lines[2].endswith("over 3 runs")
-    ratio = r"paired raw ratio ts_b/ts_a: median [0-9.]+ \[q1 [0-9.]+, q3 [0-9.]+\] over 1 rounds"
-    assert re.fullmatch(ratio, lines[3])
-    test = (r"ts_b faster in [01] of 1 rounds, sign test p = 1; "
-            r"median ratio 95% bootstrap interval \[([0-9.]+), \1\]")
-    assert re.fullmatch(test, lines[4])
+    assert [line.split()[0] for line in lines[:5]] == ["ts_a", "ts_b", "calibration", "paired", "ts_b"]
+    side = r"raw median ([0-9.e-]+) s, calibrated median ([0-9.e-]+) s$"
+    sides = [re.search(side, line).groups() for line in lines[:2]]
+    calibration = re.fullmatch(r"calibration median ([0-9.e-]+) s over 3 runs", lines[2])
+    ratio = r"paired raw ratio ts_b/ts_a: median ([0-9.]+) \[q1 ([0-9.]+), q3 ([0-9.]+)\] over 1 rounds"
+    quartiles = re.fullmatch(ratio, lines[3]).groups()
+    test = (r"ts_b faster in ([01]) of 1 rounds, sign test p = (1); "
+            r"median ratio 95% bootstrap interval \[([0-9.]+), \3\]")
+    wins, p, bound = re.fullmatch(test, lines[4]).groups()
+    # The last line is the run as a BENCH_*.json paired_ab.runs[] entry, less "sides".
+    assert len(lines) == 6
+    record = json.loads(lines[5])
+    assert record == {
+        "argv": "chsh --angles-deg 0 -45 -22.5 22.5 --analytic",
+        "raw_median_s": {"ts_a": float(sides[0][0]), "ts_b": float(sides[1][0])},
+        "calibrated_median_s": {"ts_a": float(sides[0][1]), "ts_b": float(sides[1][1])},
+        "calibration_median_s": float(calibration.group(1)),
+        "paired_ratio": dict(zip(("median", "q1", "q3"), map(float, quartiles))),
+        "rounds": 1,
+        "ts_b_wins": int(wins),
+        "sign_test_p": float(p),
+        "bootstrap_95": [float(bound)] * 2,
+    }
 
 
 def test_paired_ab_reports_a_failing_job():

@@ -192,6 +192,22 @@ def test_both_views_match_the_reference_mixer(seed, start):
         assert handedness_sign_sum(seed, count, start=start) == sum(expected[:count])
 
 
+def test_both_views_read_the_sign_of_nan_bit_patterns():
+    """The pass reads the top bit as the sign bit of a float64 view; words whose exponent
+    bits are all set are NaNs there, and must still give their sign without a float error."""
+    seed, start, count = 0, 3760, 100
+    words = [splitmix64(seed, start + i) for i in range(count)]
+    nans = [w >> 63 for w in words if (w >> 52) & 0x7FF == 0x7FF]
+    assert 1 in nans and 0 in nans  # draws 3763 and 3841: a negative and a positive NaN
+    assert all(np.isnan(np.uint64(w).view(np.float64)) for w in words if (w >> 52) & 0x7FF == 0x7FF)
+    expected = [1 - 2 * (w >> 63) for w in words]
+    with np.errstate(all="raise"):
+        assert handedness_signs(seed, count, start=start).tolist() == expected
+        assert handedness_sign_sum(seed, count, start=start) == sum(expected)
+        for offset in (0, 3, 81):  # windows that open on the negative or the positive NaN
+            assert handedness_sign_sum(seed, count - offset, start=start + offset) == sum(expected[offset:])
+
+
 def test_both_views_reject_a_negative_start_and_wrap_at_the_period():
     for view in (handedness_signs, handedness_sign_sum):
         with pytest.raises(ValueError):

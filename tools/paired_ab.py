@@ -13,13 +13,16 @@ raw times, with its quartiles.  The two jobs of a round see the same host
 phase, so the paired ratio needs no rescaling: a calibrated difference the
 raw ratio does not show comes from the calibration, not from the code.
 
-Its last line says whether the difference is real: the rounds in which
+Its fifth line says whether the difference is real: the rounds in which
 ``ts_b`` was faster, the exact two-sided sign-test p-value of that count
 (rounds with equal times are left out of the test), and a percentile
 bootstrap 95% interval of the median ratio, from 10,000 resamples drawn
 with a fixed seed.  The null is the same command with one checkout on both
 sides, ``paired_ab.py ROOT ROOT``: its interval shows how far a ratio moves
-when the code does not change.
+when the code does not change.  Then comes one line of JSON: the same numbers
+as an entry of a ``BENCH_*.json`` file's ``paired_ab.runs``, rounded as printed,
+without the ``sides`` key, which names the two checkouts and is the caller's
+to fill in.
 """
 
 from __future__ import annotations
@@ -29,8 +32,10 @@ import contextlib
 import gc
 import importlib
 import io
+import json
 import math
 import random
+import shlex
 import shutil
 import statistics
 import sys
@@ -97,25 +102,41 @@ def bootstrap_median_interval(ratios, resamples: int = 10_000, seed: int = 0) ->
     return cuts[0], cuts[-1]
 
 
-def report(roots, result, rescaled) -> None:
+def _digits(value: float, significant: int) -> float:
+    """``value`` rounded to ``significant`` digits, as ``:.{significant}g`` prints it."""
+    return float(f"{value:.{significant}g}")
+
+
+def report(roots, argv, result, rescaled) -> None:
     walls = result["walls"]
+    raw = {name: statistics.median(w for w, _, _ in walls[name]) for name in SIDES}
+    calibrated = {name: statistics.median(rescaled(*entry) for entry in walls[name]) for name in SIDES}
+    calibration = statistics.median(result["calibrations"])
     for name, root in zip(SIDES, roots):
-        raw = [w for w, _, _ in walls[name]]
-        calibrated = [rescaled(*entry) for entry in walls[name]]
-        print(f"{name} {root}: raw median {statistics.median(raw):.6g} s, "
-              f"calibrated median {statistics.median(calibrated):.6g} s")
-    print(f"calibration median {statistics.median(result['calibrations']):.6g} s "
-          f"over {len(result['calibrations'])} runs")
+        print(f"{name} {root}: raw median {raw[name]:.6g} s, "
+              f"calibrated median {calibrated[name]:.6g} s")
+    print(f"calibration median {calibration:.6g} s over {len(result['calibrations'])} runs")
     ratios = [b[0] / a[0] for a, b in zip(walls["ts_a"], walls["ts_b"])]
     # quantiles() needs two values; the ratio of a single round is its own quartiles.
     q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
     print(f"paired raw ratio ts_b/ts_a: median {median:.4f} [q1 {q1:.4f}, q3 {q3:.4f}] "
           f"over {len(ratios)} rounds")
     wins, ties = sum(r < 1.0 for r in ratios), sum(r == 1.0 for r in ratios)
+    p = sign_test_p(wins, len(ratios) - ties)
     low, high = bootstrap_median_interval(ratios)
-    print(f"ts_b faster in {wins} of {len(ratios)} rounds, sign test "
-          f"p = {sign_test_p(wins, len(ratios) - ties):.3g}; "
+    print(f"ts_b faster in {wins} of {len(ratios)} rounds, sign test p = {p:.3g}; "
           f"median ratio 95% bootstrap interval [{low:.4f}, {high:.4f}]")
+    print(json.dumps({  # one BENCH_*.json paired_ab.runs[] entry, rounded as printed above
+        "argv": shlex.join(argv),
+        "raw_median_s": {name: _digits(raw[name], 6) for name in SIDES},
+        "calibrated_median_s": {name: _digits(calibrated[name], 6) for name in SIDES},
+        "calibration_median_s": _digits(calibration, 6),
+        "paired_ratio": {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)},
+        "rounds": len(ratios),
+        "ts_b_wins": wins,
+        "sign_test_p": _digits(p, 3),
+        "bootstrap_95": [round(low, 4), round(high, 4)],
+    }))
 
 
 def main(argv=None) -> int:
@@ -139,7 +160,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as into:
         clis = load(roots, Path(into))
         result = measure(clis, job_argv, args.rounds, run.calibrate)
-    report(roots, result, run.rescaled)
+    report(roots, job_argv, result, run.rescaled)
     return 0
 
 
