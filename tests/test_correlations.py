@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import sys
 import threading
 import time
 from concurrent.futures import Future
@@ -280,6 +281,23 @@ def test_a_slowed_thread_takes_fewer_chunks(monkeypatch, slowed):
     assert sorted(first for _, first in summed) == list(range(0, n, SIGN_CHUNK))
     unslowed = sum(in_caller != (slowed == "caller") for in_caller, _ in summed)
     assert unslowed > len(summed) / 2
+
+
+def test_more_threads_than_cores_claim_each_chunk_once_under_fast_switching(monkeypatch):
+    """Eight threads on a short switch interval: a chunk claimed twice or lost would show
+    in the claimed starts and in the sum."""
+    n = 64 * SIGN_CHUNK + 3
+    summed = []
+    monkeypatch.setattr(correlations.os, "cpu_count", lambda: 8)
+    _thread_hook(monkeypatch, lambda in_caller: summed.append)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        total = correlations._summed_signs(21, n, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(summed) == list(range(0, n, SIGN_CHUNK))
+    assert total == handedness_sign_sum(21, n)
 
 
 def test_joint_bivector_decays_across_seeds():
