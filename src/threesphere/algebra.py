@@ -25,7 +25,9 @@ the full products read their signs from a signed ``(8, 8, 8)`` Cayley
 tensor and gather one blade per term, the even ones apply one column
 formula.  A dataclass argument, a :class:`Handedness` for the signs, is
 one row: dataclasses alone return a dataclass, and among arrays each is
-broadcast as its row.  Products are only :func:`geometric_product`,
+broadcast as its row.  Array results follow one layout rule: rows are a
+``(..., k)`` view of one coefficient-major ``(k, ...)`` block, so each
+column a chained kernel reads is contiguous.  Products are only :func:`geometric_product`,
 :func:`wedge` and :func:`even_product`: a :class:`Multivector` supports
 ``+`` and scaling; :class:`EvenElement` supports negation.
 """
@@ -283,16 +285,19 @@ def _result(kind, coeffs, *args):
     """The one-row rule: a ``kind`` when every argument is a dataclass, else rows.
 
     Rows take the broadcast shape of the columns, so a dataclass among arrays
-    is one row; a coefficient-major array comes back as a view of its rows.
+    is one row.  The layout rule: rows are the ``(..., k)`` view of one
+    coefficient-major ``(k, ...)`` block, so each column the next kernel
+    reads is contiguous.  Columns are written into a new block; a
+    coefficient-major array is that block.
     """
     if all(map(is_dataclass, args)):
         return kind(*map(float, coeffs))
-    if isinstance(coeffs, np.ndarray):
-        return np.moveaxis(coeffs, 0, -1)
-    rows = np.empty(np.broadcast(*coeffs).shape + (len(coeffs),))
-    for i, column in enumerate(coeffs):
-        rows[..., i] = column
-    return rows
+    if not isinstance(coeffs, np.ndarray):
+        block = np.empty((len(coeffs),) + np.broadcast(*coeffs).shape)
+        for i, column in enumerate(coeffs):
+            block[i] = column
+        coeffs = block
+    return np.moveaxis(coeffs, 0, -1)
 
 
 def _gap(lhs, rhs) -> float:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -154,12 +155,18 @@ def _summed_signs(seed: int, n: int, threads: int = 1) -> int:
     or runs slow takes fewer chunks.  Each claim is one ``next()`` on a
     ``range`` iterator, which holds the GIL throughout, so no chunk is taken
     twice.  The totals are integers, so the sum is identical for every split
-    of the chunks.  The pool is joined before the sum returns or raises.
+    of the chunks.  A thread whose chunk raises drains the iterator before
+    re-raising, so the others stop at their next claim; the pool is joined
+    before the sum returns or raises.
     """
     firsts = iter(range(0, n, SIGN_CHUNK))
 
     def negatives() -> int:
-        return sum(np.count_nonzero(negative) for _, negative in _top_bits(seed, firsts, n))
+        try:
+            return sum(np.count_nonzero(negative) for _, negative in _top_bits(seed, firsts, n))
+        except BaseException:
+            deque(firsts, maxlen=0)
+            raise
 
     workers = len(sign_sum_plan(n, threads)) - 1
     if not workers:

@@ -13,7 +13,9 @@ bilinear algebra checks (dot-plus-wedge split, basis rule, generic
 identity, even closure, associativity, orientation flip) are exact on the
 basis, computed once per suite call, and sample only their first block,
 for rounding; the basis rule samples nothing.  The quartic norm check and
-every topology and protocol check sample every instance.
+every topology and protocol check sample every instance; the equatorial
+witness, bilinear too, also takes its exact residual on the 9 pairs of unit
+vectors once per suite call.
 The protocol block also reads its part of the orientation stream twice
 and sums it with the kernel behind ``simulate`` and ``scan``; the
 balance check is that kernel's one sum over the whole stream.
@@ -127,6 +129,11 @@ def _flip_gap(a) -> float:
     return _gap(dual_bivector(LEFT_HANDED, a) + dual_bivector(RIGHT_HANDED, a), 0.0)
 
 
+def _witness_gap(a, b) -> float:
+    """Gap between the scalar of the equatorial product of ``a`` and ``b`` and minus their dot."""
+    return _gap(s2_nonclosure_witness(a, b)[:, 0], -np.sum(a * b, axis=1))
+
+
 def _basis_residuals() -> tuple:
     """The algebra checks' residuals on basis inputs, in table order; the norm check reads 0.
 
@@ -194,6 +201,10 @@ def topology_suite(samples: int = 1000, seed: int = 0) -> list:
     except NorthPoleError:
         pole_accepted = 0.0
 
+    # The witness scalar is bilinear, so its residual on the 9 pairs of unit
+    # vectors, taken through the live kernels, holds it exactly for every input.
+    basis_witness = _witness_gap(*np.eye(3)[np.indices((3, 3)).reshape(2, -1)])
+
     # Instance i splits its target into 1 + i % 8 factors.  A block is factorized
     # in one call, under a fresh seed, and multiplied back over all its slots;
     # the identities padding the shorter rows multiply exactly.  The pole
@@ -202,7 +213,7 @@ def topology_suite(samples: int = 1000, seed: int = 0) -> list:
         a, b = _random_unit_rows(rng, 3, 2, size)
         a[a[:, 2] > 1.0 - 1e-6, 2] *= -1.0
         round_trip = _gap(stereographic_unproject(stereographic_project(a)), a)
-        witness = _gap(s2_nonclosure_witness(a, b)[:, 0], -np.sum(a * b, axis=1))
+        witness = np.maximum(_witness_gap(a, b), basis_witness)
         del a, b
         p, q = _random_unit_rows(rng, 4, 2, size)
         closure = _gap(np.sum(even_product(p, q) ** 2, axis=1), 1.0)
@@ -210,11 +221,19 @@ def topology_suite(samples: int = 1000, seed: int = 0) -> list:
         factors = factorize_s3_point(p, counts, seed=int(rng.integers(2**31)))
         multiplied_back = _gap(functools.reduce(even_product, factors.swapaxes(0, 1)), p)
         del p, q
+        # Squares summed in place, in the order np.einsum takes over C-ordered rows
+        # with two-lane float64 SIMD: the residual keeps its bits in either layout
+        # and allocates no temporaries.  Nothing reads the factors after this.
+        s, b_yz, b_zx, b_xy = np.moveaxis(np.square(factors, out=factors), -1, 0)
+        s += b_zx
+        b_yz += b_xy
+        s += b_yz
+        unit = _gap(s, 1.0)
         return (
             round_trip,
             pole_accepted,
             multiplied_back,
-            _gap(np.einsum("...i,...i", factors, factors), 1.0),
+            unit,
             witness,
             closure,
         )

@@ -114,7 +114,10 @@ def factorize_s3_point(target, count, seed: int):
     factor, in row order, the last factor sits at slot ``count - 1``, and
     the unused slots hold the exact identity ``(1, 0, 0, 0)``, so the
     ordered product over all slots is still the target.  Equal counts give
-    the same factors as the int count.
+    the same factors as the int count.  Factor rows are the ``(N, slots, 4)``
+    view of a coefficient-major ``(4, slots, N)`` block, so each slot the
+    products read has contiguous columns; the draws still fill the rows in C
+    order.
     """
     counts = np.asarray(count)
     if counts.dtype.kind not in "iu":
@@ -131,10 +134,12 @@ def factorize_s3_point(target, count, seed: int):
         raise ValueError(f"need one factor count per target row, got shape {counts.shape}")
     width = int(counts.max(initial=1)) - 1
     counts = np.broadcast_to(counts, targets.shape[:1])
+    store = np.zeros((4, width + 1, len(targets)))
+    store[0] = 1.0
+    factors = store.transpose()
     if width == 0:
-        return targets[:, None, :].copy()
-    factors = np.zeros((len(targets), width + 1, 4))
-    factors[..., 0] = 1.0
+        factors[:, 0] = targets
+        return factors
     drawn = np.arange(width + 1) < counts[:, None] - 1
     factors[drawn] = _random_unit_rows(np.random.default_rng(seed), 4, int(np.count_nonzero(drawn)))
     prefix = functools.reduce(even_product, factors[:, :width].swapaxes(0, 1))

@@ -241,26 +241,30 @@ def _thread_hook(monkeypatch, before_claims):
 @pytest.mark.parametrize("where", ["caller", "worker"])
 def test_a_raising_shard_ends_the_sum_and_leaves_no_thread(monkeypatch, where):
     """Whichever thread's claimed chunk raises, the caller's or a pool thread's, the error
-    comes out of the sum and the pool is joined first."""
+    comes out of the sum and the pool is joined first.  The broken thread drains the shared
+    range, so the other thread, which claims only after the break, sums at most the one
+    chunk it may claim before the drain, not the 63 left."""
     broke = threading.Event()
+    summed_after = []
 
     def before_claims(in_caller):
         if in_caller != (where == "caller"):
             broke.wait(timeout=10)  # the other side claims only after a chunk has broken
-            return lambda first: None
+            return summed_after.append
 
         def on_chunk(first):
             broke.set()
             raise ArithmeticError(f"chunk at {first} broke")
         return on_chunk
 
-    monkeypatch.setattr(correlations.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(correlations.os, "cpu_count", lambda: 2)
     _thread_hook(monkeypatch, before_claims)
     before = threading.active_count()
     with pytest.raises(ArithmeticError, match="broke"):
-        correlations._summed_signs(5, 4 * SIGN_CHUNK, 4)
+        correlations._summed_signs(5, 64 * SIGN_CHUNK, 2)
     assert broke.is_set()
     assert threading.active_count() == before
+    assert len(summed_after) <= 1
 
 
 @pytest.mark.parametrize("slowed", ["caller", "worker"])

@@ -364,6 +364,42 @@ def test_a_dataclass_among_rows_is_one_row(rng, kernel, kinds, result):
             assert isinstance(mixed, np.ndarray) and np.array_equal(mixed, expected), picks
 
 
+LAYOUT_KERNELS = [
+    entry for entry in ROW_KERNELS
+    if entry[0] in (
+        dual_bivector, polarizer_axis, joint_product_closed_form, even_product,
+        geometric_product, stereographic_project, stereographic_unproject,
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "kernel, kinds, result", LAYOUT_KERNELS, ids=[kernel.__name__ for kernel, _, _ in LAYOUT_KERNELS]
+)
+def test_batch_rows_are_a_view_of_contiguous_columns(rng, kernel, kinds, result):
+    """Rows are a ``(..., k)`` view of one coefficient-major block, so the next kernel
+    reads contiguous columns, and each row has the bytes of its dataclass result."""
+    rows = [ARGUMENTS[kind][1](rng) for kind in kinds]
+    batch = kernel(*rows)
+    assert np.moveaxis(batch, -1, 0).flags.c_contiguous
+    ones = [kernel(*(ARGUMENTS[kind][0](r[i]) for kind, r in zip(kinds, rows))) for i in range(64)]
+    expected = [one.coeffs if result is Multivector else astuple(one) for one in ones]
+    assert batch[:64].tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 2, 5, 8])
+def test_factor_slots_have_contiguous_columns(rng, count):
+    """Each slot the prefix and the multiply-back read has contiguous columns, for int and
+    mixed counts, and row 0 has the bytes of the dataclass factorization."""
+    targets = unit_rows(rng, (ROWS,), 4)
+    for counts in (count, 1 + np.arange(ROWS) % count):
+        for slot in factorize_s3_point(targets, counts, seed=11).swapaxes(0, 1):
+            assert all(column.flags.c_contiguous for column in np.moveaxis(slot, -1, 0))
+    single = factorize_s3_point(EvenElement(*targets[0]), count, seed=11)
+    factors = factorize_s3_point(targets, count, seed=11)
+    assert np.array([f.coeffs for f in single]).tobytes() == factors[0].tobytes()
+
+
 @pytest.mark.parametrize("count", [1, 2, 5, 8])
 def test_batched_factorization_matches_the_dataclass_chain(rng, count):
     targets = unit_rows(rng, (ROWS,), 4)
@@ -473,9 +509,11 @@ def test_a_topology_block_multiplies_every_slot(monkeypatch):
     monkeypatch.setattr(topology, "even_product", counted)
     monkeypatch.setattr(suites, "even_product", counted)
     suites.topology_suite(samples=suites.BLOCK)
-    # Every product takes the whole block.  Besides the prefix over the first 7
-    # slots and the multiply-back over all 8, the last factor, the equator
-    # witness and the closure check each multiply the block once.
+    # The first product is the equator witness on the 9 pairs of unit vectors,
+    # once per call.  Every other product takes the whole block.  Besides the
+    # prefix over the first 7 slots and the multiply-back over all 8, the last
+    # factor, the equator witness and the closure check each multiply the block once.
+    assert rows.pop(0) == 9
     assert set(rows) == {suites.BLOCK}
     others = 3 * suites.BLOCK
     assert sum(rows) - others == 6 * suites.BLOCK + 7 * suites.BLOCK == 24_576 + 28_672 == 53_248
@@ -649,6 +687,26 @@ def test_inexact_left_dual_fails_the_flip_on_the_basis(monkeypatch):
 
     monkeypatch.setattr(suites, "dual_bivector", inexact)
     assert failing_on_the_basis() == {"orientation flip negates the dual exactly"}
+
+
+def test_the_equator_witness_is_exact_on_the_basis(monkeypatch):
+    """The witness scalar is bilinear, so the 9 pairs of unit vectors hold it for every
+    input.  A mutant product that flips the sign of one dot term in the scalar is seen
+    there with residual 2; a cross-term mutant would leave the scalar unchanged."""
+    pairs = np.eye(3)[np.indices((3, 3)).reshape(2, -1)]
+    assert suites._witness_gap(*pairs) == 0.0
+
+    def wrong_dot_sign(lhs, rhs):
+        product = algebra.even_product(lhs, rhs)
+        product[..., 0] += 2.0 * lhs[..., 3] * rhs[..., 3]
+        return product
+
+    monkeypatch.setattr(topology, "even_product", wrong_dot_sign)
+    assert suites._witness_gap(*pairs) == 2.0
+    # One sampled pair of random unit vectors reads 2|a_z b_z| < 2: the 2 is the basis's.
+    witness = suites.topology_suite(samples=1)[4]
+    assert witness.name == "equatorial product scalar equals minus the dot"
+    assert witness.max_residual == 2.0 and not witness.passed
 
 
 def test_basis_residuals_run_once_per_algebra_suite_call(monkeypatch):
