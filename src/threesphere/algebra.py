@@ -27,9 +27,10 @@ formula.  A dataclass argument, a :class:`Handedness` for the signs, is
 one row: dataclasses alone return a dataclass, and among arrays each is
 broadcast as its row.  Array results follow one layout rule: rows are a
 ``(..., k)`` view of one coefficient-major ``(k, ...)`` block, so each
-column a chained kernel reads is contiguous.  Products are only :func:`geometric_product`,
-:func:`wedge` and :func:`even_product`: a :class:`Multivector` supports
-``+`` and scaling; :class:`EvenElement` supports negation.
+column a chained kernel reads is contiguous.  Products are only
+:func:`geometric_product`, :func:`wedge` and :func:`even_product`: a
+:class:`Multivector` supports ``+`` and scaling; :class:`EvenElement`
+supports negation.
 """
 
 from __future__ import annotations

@@ -82,8 +82,8 @@ _MIX_2 = 0x94D049BB133111EB
 # two threads the interpreter lock, taken around each ufunc call, costs more as
 # chunks shrink: the two-thread sum of 2*10**7 draws took 65-70 ms at 2**14,
 # 37-42 ms at 2**15 and 32.5-33 ms at 2**16 (2-vCPU host).  Two forked processes
-# took 32.5-35 ms against 33.5-35.8 ms for the two threads, and a fork plus its
-# wait alone costs about 2 ms, so a process pool would not pay.
+# summing half each took 32.5-36.6 ms, no less than the two threads' 32.8-35.8 ms,
+# and a fork plus its wait alone costs about 2 ms, so a process pool would not pay.
 SIGN_CHUNK = 1 << 16
 
 
