@@ -8,14 +8,15 @@ The library has four layers:
   and its equatorial 2-sphere, point factorization, stereographic
   projection.
 * :mod:`threesphere.protocol`: the local measurement protocol whose
-  shared hidden variable is the orientation of the algebra.
+  shared hidden variable is the orientation of the algebra, and the
+  orientation stream's exact sign sum, on one thread or several.
 * :mod:`threesphere.correlations`: expectation estimators, the quantum
   reference ``Tr[rho P(alpha) (x) P(beta)]`` of the |Phi+> photon state,
   and CHSH evaluation/search.
 
 The package re-exports each layer's ``__all__``, the one place a public
-name is declared; among them are ``SIGN_CHUNK``, ``sign_sum_plan`` and
-``stream_summary``.
+name is declared; among them are ``SIGN_CHUNK``, ``handedness_sign_sum``
+and ``stream_summary``.
 
 The ``threesphere`` command exposes the same functionality as
 deterministic, file-producing experiments.

@@ -42,9 +42,8 @@ from .correlations import (
     chsh_maximize,
     joint_expectation,
     quantum_reference,
-    stream_summary,
 )
-from .protocol import PolarizerAngle
+from .protocol import PolarizerAngle, stream_summary
 from .suites import SUITES
 from .tables import write_manifest, write_table
 

@@ -8,15 +8,12 @@ scalar mean equal to ``cos 2(a-b)`` to the last bit at any trial count,
 and makes merging per-thread sums bit-identical to a single pass, since
 integer addition has no rounding.
 
-The sum streams the orientation draws through the pass behind
-:func:`~.protocol.handedness_sign_sum`, in chunks of
-:data:`~.protocol.SIGN_CHUNK` draws, so memory does not grow with the
-trial count.  :func:`sign_sum_plan` decides how many threads share the sum:
-at most one per CPU and per chunk.  The calling thread and a pool opened
-for the sum claim chunks from one shared range until none is left, so ``k``
-threads start ``k - 1`` and none of them outlives the sum.  Given radian
-arrays, :func:`joint_expectation` makes one sign sum for every angle pair,
-so a scan makes one sum.  The check on the model,
+The sum is :func:`~.protocol.handedness_sign_sum`, which streams the
+orientation draws in chunks, so memory does not grow with the trial count,
+and splits the chunks across the estimators' ``threads``, at most one per
+CPU and per chunk; the estimate is the same for every ``threads``.  Given
+radian arrays, :func:`joint_expectation` makes one sign sum for every
+angle pair, so a scan makes one sum.  The check on the model,
 :func:`quantum_reference`, comes from the photon state; ``chsh``
 evaluates it.
 
@@ -34,9 +31,6 @@ property in the matrix itself and then fixes one setting, which costs
 from __future__ import annotations
 
 import math
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +38,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .algebra import _columns
 from .protocol import (
-    SIGN_CHUNK,
     PolarizerAngle,
     _radians,
-    _top_bits,
-    handedness_signs,  # noqa: F401  (re-exported; callers look it up here)
+    handedness_sign_sum,
+    # Unused here; kept only because perfbench's traced mode wraps the stream at
+    # this name (ROADMAP item 11).
+    handedness_signs,  # noqa: F401
     polarizer_axis,
 )
 
@@ -57,8 +52,6 @@ __all__ = [
     "ChshSettings",
     "single_expectation",
     "joint_expectation",
-    "sign_sum_plan",
-    "stream_summary",
     "PHI_PLUS",
     "quantum_reference",
     "chsh_value",
@@ -116,72 +109,6 @@ class ChshSettings:
     beta_prime: PolarizerAngle
 
 
-def sign_sum_plan(n: int, threads: int) -> list:
-    """One ``(start, count)`` range of whole :data:`SIGN_CHUNK` chunks per thread of a sum.
-
-    There are ``min(threads, os.cpu_count(), chunks)`` ranges, at least one,
-    and that number is all the sum reads: its threads claim chunks from one
-    shared range, so the ranges describe no work.  The calling thread takes
-    part, so a sum starts ``len(plan) - 1`` threads and never more than the
-    host has CPUs.
-    """
-    chunks = -(-n // SIGN_CHUNK)
-    shards = max(1, min(threads, os.cpu_count() or 1, chunks))
-    per_shard, extra = divmod(chunks, shards)
-    plan = []
-    start = 0
-    for i in range(shards):
-        size = (per_shard + (1 if i < extra else 0)) * SIGN_CHUNK
-        plan.append((start, min(size, n - start)))
-        start += size
-    return plan
-
-
-def stream_summary(n: int, threads: int) -> dict:
-    """Threads that share one sign sum over ``n`` trials, its chunk size and its chunks."""
-    return {
-        "shards": len(sign_sum_plan(n, threads)),
-        "chunk_size": SIGN_CHUNK,
-        "chunks": -(-n // SIGN_CHUNK),
-    }
-
-
-def _summed_signs(seed: int, n: int, threads: int = 1) -> int:
-    """Exact sum of the first ``n`` orientation signs for ``seed``.
-
-    The calling thread and ``len(sign_sum_plan(n, threads)) - 1`` threads of
-    a pool opened for this call take chunk starts from one shared iterator,
-    each into its own buffers, until none is left; a thread that starts late
-    or runs slow takes fewer chunks.  Each claim is one ``next()`` on a
-    ``range`` iterator, which holds the GIL throughout, so no chunk is taken
-    twice.  The totals are integers, so the sum is identical for every split
-    of the chunks.  A thread whose chunk raises drains the iterator before
-    re-raising, so the others stop at their next claim; the pool is joined
-    before the sum returns or raises.
-    """
-    firsts = iter(range(0, n, SIGN_CHUNK))
-
-    def negatives() -> int:
-        try:
-            return sum(np.count_nonzero(negative) for _, negative in _top_bits(seed, firsts, n))
-        except BaseException:
-            deque(firsts, maxlen=0)
-            raise
-
-    workers = len(sign_sum_plan(n, threads)) - 1
-    if not workers:
-        return n - 2 * negatives()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = [pool.submit(negatives) for _ in range(workers)]
-        return n - 2 * (negatives() + sum(part.result() for part in parts))
-
-
-def _mean_sign(n: int, seed: int, threads: int) -> float:
-    if n < 1:
-        raise ValueError(f"trial count must be at least 1, got {n}")
-    return _summed_signs(seed, n, threads) / n
-
-
 def single_expectation(theta, n: int, seed: int, threads: int = 1) -> CorrelationEstimate:
     """Average one station's outcome over ``n`` orientation samples.
 
@@ -190,7 +117,9 @@ def single_expectation(theta, n: int, seed: int, threads: int = 1) -> Correlatio
     the 50/50 orientation law it decays like 1/sqrt(n).  As in
     :func:`joint_expectation`, a radian array gives array channels.
     """
-    mean_sign = _mean_sign(n, seed, threads)
+    if n < 1:
+        raise ValueError(f"trial count must be at least 1, got {n}")
+    mean_sign = handedness_sign_sum(seed, n, threads=threads) / n
     x, y, z = _columns(polarizer_axis(theta))
     return CorrelationEstimate(
         scalar_mean=0.0, bivector_mean=(mean_sign * x, mean_sign * y, mean_sign * z), trial_count=n
@@ -206,8 +135,11 @@ def joint_expectation(alpha, beta, n: int, seed: int, threads: int = 1) -> Corre
     :class:`PolarizerAngle`, which give float channels, or two radian
     arrays, which give one estimate whose channels are arrays of their
     broadcast shape; pass arrays to share the sum across angle pairs.
+    ``threads`` goes to :func:`~.protocol.handedness_sign_sum`.
     """
-    mean_sign = _mean_sign(n, seed, threads)
+    if n < 1:
+        raise ValueError(f"trial count must be at least 1, got {n}")
+    mean_sign = handedness_sign_sum(seed, n, threads=threads) / n
     d = 2.0 * (_radians(alpha) - _radians(beta))
     return CorrelationEstimate(
         scalar_mean=np.cos(d),

@@ -40,12 +40,21 @@ kernel, counts them in constant memory.  Buffers are sized to the first
 chunk a call takes, so calls shorter than a chunk get short ones.
 Positions ``start`` must be non-negative and are taken modulo the
 counter's period 2**64.
+
+The sum is the one place threads share the stream.  Given ``threads``,
+``min(threads, os.cpu_count(), chunks)`` threads share it, at least one,
+as :func:`stream_summary` reports: the calling thread and a pool opened for
+the call claim chunk starts from one shared range until none is left, so
+``k`` threads start ``k - 1`` and none of them outlives the sum.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +75,7 @@ __all__ = [
     "SIGN_CHUNK",
     "handedness_signs",
     "handedness_sign_sum",
+    "stream_summary",
     "polarizer_axis",
     "alice_outcome",
     "bob_outcome",
@@ -147,14 +157,50 @@ def handedness_signs(seed: int, count: int, start: int = 0) -> np.ndarray:
     return signs
 
 
-def handedness_sign_sum(seed: int, count: int, start: int = 0) -> int:
+def stream_summary(n: int, threads: int) -> dict:
+    """Threads that share one sign sum over ``n`` trials, its chunk size and its chunks.
+
+    The threads are ``min(threads, os.cpu_count(), chunks)``, at least 1, the calling
+    thread included.  ``threads`` must be an integer of at least 1.
+    """
+    threads = operator.index(threads)
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    chunks = -(-n // SIGN_CHUNK)
+    shards = max(1, min(threads, os.cpu_count() or 1, chunks))
+    return {"shards": shards, "chunk_size": SIGN_CHUNK, "chunks": chunks}
+
+
+def handedness_sign_sum(seed: int, count: int, start: int = 0, threads: int = 1) -> int:
     """Exact sum of orientation signs ``start .. start+count-1`` for ``seed``.
 
     Equals ``int(handedness_signs(seed, count, start).sum())``; counts the negative draws.
+    The calling thread and ``stream_summary(count, threads)["shards"] - 1`` threads of a
+    pool opened for this call take chunk starts from one shared iterator, each into its
+    own buffers, until none is left; a thread that starts late or runs slow takes fewer
+    chunks.  Each claim is one ``next()`` on a ``range`` iterator, which holds the GIL
+    throughout, so no chunk is taken twice.  The totals are integers, so the sum is
+    identical for every split of the chunks.  A thread whose chunk raises drains the
+    iterator before re-raising, so the others stop at their next claim; the pool is
+    joined before the sum returns or raises.  ``threads`` below 1 raises ``ValueError``.
     """
     count, start = _checked(count, start)
-    bits = _top_bits(seed, range(start, start + count, SIGN_CHUNK), start + count)
-    return count - 2 * sum(np.count_nonzero(negative) for _, negative in bits)
+    workers = stream_summary(count, threads)["shards"] - 1
+    end = start + count
+    firsts = iter(range(start, end, SIGN_CHUNK))
+
+    def negatives() -> int:
+        try:
+            return sum(np.count_nonzero(negative) for _, negative in _top_bits(seed, firsts, end))
+        except BaseException:
+            deque(firsts, maxlen=0)
+            raise
+
+    if not workers:
+        return count - 2 * negatives()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = [pool.submit(negatives) for _ in range(workers)]
+        return count - 2 * (negatives() + sum(part.result() for part in parts))
 
 
 @dataclass(frozen=True)

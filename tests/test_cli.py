@@ -13,7 +13,7 @@ import pytest
 from threesphere import cli, correlations, suites
 from threesphere.cli import MAX_SAMPLES, MAX_SCAN_ROWS, MAX_SEED, MAX_TRIALS, _scan_betas, main
 from threesphere.correlations import joint_expectation, quantum_reference
-from threesphere.protocol import SIGN_CHUNK, PolarizerAngle
+from threesphere.protocol import SIGN_CHUNK, PolarizerAngle, stream_summary
 from threesphere.tables import read_table
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -584,13 +584,13 @@ def test_monte_carlo_commands_make_one_sign_sum(monkeypatch, tmp_path, argv):
     """``simulate`` and ``scan`` make one sum; ``chsh`` reads no sign sum and makes none."""
     monkeypatch.chdir(tmp_path)
     calls = []
-    summed = correlations._summed_signs
+    summed = correlations.handedness_sign_sum
 
     def counted(*args, **kwargs):
         calls.append(args)
         return summed(*args, **kwargs)
 
-    monkeypatch.setattr(correlations, "_summed_signs", counted)
+    monkeypatch.setattr(correlations, "handedness_sign_sum", counted)
     assert run(*argv, "--seed", 5) == 0
     assert len(calls) == (0 if argv[0] == "chsh" else 1)
 
@@ -716,7 +716,7 @@ def test_a_sum_starts_one_thread_per_shard_beyond_the_first(cpus, tmp_path, monk
         started = len(thread_starts)
         out = tmp_path / f"sim{threads}.csv"
         assert run(*args, "--threads", threads, "--out", out) == 0
-        assert len(thread_starts) - started == len(correlations.sign_sum_plan(n, threads)) - 1
+        assert len(thread_starts) - started == stream_summary(n, threads)["shards"] - 1
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
     assert len(thread_starts) == 1 + (min(cpus, 3) - 1)  # none, then --threads 2, then 64

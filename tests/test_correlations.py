@@ -1,6 +1,4 @@
-import itertools
 import math
-import os
 import sys
 import threading
 import time
@@ -9,7 +7,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from threesphere import correlations
+from threesphere import correlations, protocol
 from threesphere.correlations import (
     ChshSettings,
     CorrelationEstimate,
@@ -17,9 +15,7 @@ from threesphere.correlations import (
     chsh_value,
     joint_expectation,
     quantum_reference,
-    sign_sum_plan,
     single_expectation,
-    stream_summary,
 )
 from threesphere.protocol import (
     SIGN_CHUNK,
@@ -27,6 +23,7 @@ from threesphere.protocol import (
     handedness_sign_sum,
     handedness_signs,
     run_trials,
+    stream_summary,
 )
 
 ROOT_HALF = math.sqrt(2.0) / 2.0
@@ -171,24 +168,64 @@ def test_joint_sharding_is_bit_identical():
 def test_sharded_sum_equals_the_single_sum(monkeypatch):
     n = 16 * SIGN_CHUNK + 12345
     single = handedness_sign_sum(2**63 + 9, n)
-    monkeypatch.setattr(correlations.os, "cpu_count", lambda: 16)
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: 16)
     for threads in range(1, 17):
-        assert len(sign_sum_plan(n, threads)) == threads
-        assert correlations._summed_signs(2**63 + 9, n, threads) == single
+        assert stream_summary(n, threads)["shards"] == threads
+        assert handedness_sign_sum(2**63 + 9, n, threads=threads) == single
+
+
+@pytest.mark.parametrize("start", [0, SIGN_CHUNK - 3, 2**64 - 5])
+def test_threaded_sums_at_an_offset_equal_the_summed_array(monkeypatch, start):
+    """Chunks start at ``start``, so a range that begins and ends mid-chunk, or wraps the
+    counter, splits across threads as it does in one."""
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: 8)
+    for count in (SIGN_CHUNK - 7, 3 * SIGN_CHUNK + 11, 9 * SIGN_CHUNK + 2):
+        expected = int(handedness_signs(17, count, start).sum())
+        for threads in range(1, 9):
+            assert handedness_sign_sum(17, count, start, threads) == expected
+
+
+@pytest.mark.parametrize(
+    "threads, error", [(0, ValueError), (-3, ValueError), (2.5, TypeError), (np.int64(2), None)],
+    ids=repr,
+)
+def test_the_thread_count_is_a_positive_integer(monkeypatch, threads, error):
+    """Checked in the one sum, so a bad count fails the same way whatever the CPU count."""
+    n = 3 * SIGN_CHUNK
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: 64)
+    sums = (
+        lambda t: handedness_sign_sum(4, n, threads=t),
+        lambda t: joint_expectation(deg(0.0), deg(30.0), n, seed=4, threads=t),
+        lambda t: single_expectation(deg(30.0), n, seed=4, threads=t),
+    )
+    if error is None:
+        assert stream_summary(n, threads)["shards"] == 2
+        assert all(call(threads) == call(1) for call in sums)
+        return
+    for call in (lambda t: stream_summary(n, t), *sums):
+        with pytest.raises(error):
+            call(threads)
 
 
 @pytest.mark.parametrize("n", [1, SIGN_CHUNK, SIGN_CHUNK + 1, 7 * SIGN_CHUNK - 3])
 @pytest.mark.parametrize("threads", [1, 2, 3, 8])
 def test_shard_plan_covers_the_range_in_whole_chunks(monkeypatch, n, threads):
-    monkeypatch.setattr(correlations.os, "cpu_count", lambda: 8)
-    plan = sign_sum_plan(n, threads)
-    assert len(plan) == min(threads, -(-n // SIGN_CHUNK))
-    assert [start for start, _ in plan] == [0] + list(itertools.accumulate(c for _, c in plan[:-1]))
-    assert sum(count for _, count in plan) == n
-    assert all(count > 0 and count % SIGN_CHUNK == 0 for _, count in plan[:-1])
+    """``stream_summary`` reports ``min(threads, cpus, chunks)`` shards, and a sum on that
+    many threads claims each chunk of the range once, from at most that many threads."""
+    chunks = -(-n // SIGN_CHUNK)
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: 8)
     assert stream_summary(n, threads) == {
-        "shards": len(plan), "chunk_size": SIGN_CHUNK, "chunks": -(-n // SIGN_CHUNK)
+        "shards": min(threads, chunks), "chunk_size": SIGN_CHUNK, "chunks": chunks
     }
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: 2)
+    shards = stream_summary(n, threads)["shards"]
+    assert shards == min(threads, 2, chunks)
+    single = handedness_sign_sum(6, n)
+    claims = []
+    _thread_hook(monkeypatch, lambda in_caller: lambda first: claims.append((threading.get_ident(), first)))
+    assert handedness_sign_sum(6, n, threads=threads) == single
+    assert sorted(first for _, first in claims) == list(range(0, n, SIGN_CHUNK))
+    assert len({ident for ident, _ in claims}) <= shards
 
 
 def test_a_huge_thread_request_is_capped_at_the_cpu_count(monkeypatch):
@@ -210,13 +247,14 @@ def test_a_huge_thread_request_is_capped_at_the_cpu_count(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(correlations, "ThreadPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(protocol, "ThreadPoolExecutor", InlineExecutor)
     n = 40 * SIGN_CHUNK + 1
+    single = handedness_sign_sum(5, n)
     for cpus in (1, 2, 8):
-        monkeypatch.setattr(correlations.os, "cpu_count", lambda c=cpus: c)
+        monkeypatch.setattr(protocol.os, "cpu_count", lambda c=cpus: c)
         workers.clear()
-        assert len(sign_sum_plan(n, 10**6)) == cpus
-        assert correlations._summed_signs(5, n, 10**6) == handedness_sign_sum(5, n)
+        assert stream_summary(n, 10**6)["shards"] == cpus
+        assert handedness_sign_sum(5, n, threads=10**6) == single
         assert len(workers) == (cpus > 1) and all(w <= cpus - 1 for w in workers)
 
 
@@ -227,7 +265,7 @@ def _thread_hook(monkeypatch, before_claims):
     returns a function called on each chunk it sums, with the chunk start.
     """
     caller = threading.current_thread()
-    top_bits = correlations._top_bits
+    top_bits = protocol._top_bits
 
     def hooked(seed, firsts, end):
         on_chunk = before_claims(threading.current_thread() is caller)
@@ -235,7 +273,7 @@ def _thread_hook(monkeypatch, before_claims):
             on_chunk(first)
             yield first, negative
 
-    monkeypatch.setattr(correlations, "_top_bits", hooked)
+    monkeypatch.setattr(protocol, "_top_bits", hooked)
 
 
 @pytest.mark.parametrize("where", ["caller", "worker"])
@@ -257,11 +295,11 @@ def test_a_raising_shard_ends_the_sum_and_leaves_no_thread(monkeypatch, where):
             raise ArithmeticError(f"chunk at {first} broke")
         return on_chunk
 
-    monkeypatch.setattr(correlations.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: 2)
     _thread_hook(monkeypatch, before_claims)
     before = threading.active_count()
     with pytest.raises(ArithmeticError, match="broke"):
-        correlations._summed_signs(5, 64 * SIGN_CHUNK, 2)
+        handedness_sign_sum(5, 64 * SIGN_CHUNK, threads=2)
     assert broke.is_set()
     assert threading.active_count() == before
     assert len(summed_after) <= 1
@@ -279,9 +317,10 @@ def test_a_slowed_thread_takes_fewer_chunks(monkeypatch, slowed):
             time.sleep(0.1)
         return lambda first: summed.append((in_caller, first))
 
-    monkeypatch.setattr(correlations.os, "cpu_count", lambda: 2)
+    single = handedness_sign_sum(3, n)
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: 2)
     _thread_hook(monkeypatch, before_claims)
-    assert correlations._summed_signs(3, n, 2) == handedness_sign_sum(3, n)
+    assert handedness_sign_sum(3, n, threads=2) == single
     assert sorted(first for _, first in summed) == list(range(0, n, SIGN_CHUNK))
     unslowed = sum(in_caller != (slowed == "caller") for in_caller, _ in summed)
     assert unslowed > len(summed) / 2
@@ -291,17 +330,18 @@ def test_more_threads_than_cores_claim_each_chunk_once_under_fast_switching(monk
     """Eight threads on a short switch interval: a chunk claimed twice or lost would show
     in the claimed starts and in the sum."""
     n = 64 * SIGN_CHUNK + 3
+    single = handedness_sign_sum(21, n)
     summed = []
-    monkeypatch.setattr(correlations.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: 8)
     _thread_hook(monkeypatch, lambda in_caller: summed.append)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        total = correlations._summed_signs(21, n, 8)
+        total = handedness_sign_sum(21, n, threads=8)
     finally:
         sys.setswitchinterval(interval)
     assert sorted(summed) == list(range(0, n, SIGN_CHUNK))
-    assert total == handedness_sign_sum(21, n)
+    assert total == single
 
 
 def test_joint_bivector_decays_across_seeds():

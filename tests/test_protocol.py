@@ -11,7 +11,7 @@ from threesphere.algebra import (
     EvenElement,
     oriented_even_product,
 )
-from threesphere import correlations, protocol
+from threesphere import protocol
 from threesphere.protocol import (
     SIGN_CHUNK,
     PolarizerAngle,
@@ -22,6 +22,7 @@ from threesphere.protocol import (
     joint_product_closed_form,
     polarizer_axis,
     run_trials,
+    stream_summary,
 )
 from threesphere.topology import is_equatorial, is_unit_s3
 
@@ -229,9 +230,9 @@ def test_numpy_integer_seeds_draw_the_stream_of_the_equal_int(seed, monkeypatch)
         expected = handedness_signs(int(seed), count, int(start))
         assert np.array_equal(handedness_signs(seed, np.int64(count), start), expected)
         assert handedness_sign_sum(seed, np.int64(count), start) == int(expected.sum())
-    monkeypatch.setattr(correlations.os, "cpu_count", lambda: 2)
-    assert len(correlations.sign_sum_plan(count, 2)) == 2
-    assert correlations._summed_signs(seed, count, 2) == correlations._summed_signs(int(seed), count)
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: 2)
+    assert stream_summary(count, 2)["shards"] == 2
+    assert handedness_sign_sum(seed, count, threads=2) == handedness_sign_sum(int(seed), count)
 
 
 def test_stream_is_deterministic():
