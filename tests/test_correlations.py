@@ -187,7 +187,7 @@ def test_threaded_sums_at_an_offset_equal_the_summed_array(monkeypatch, start):
 
 @pytest.mark.parametrize(
     "threads, error", [(0, ValueError), (-3, ValueError), (2.5, TypeError), (np.int64(2), None)],
-    ids=repr,
+    ids=["0", "-3", "2.5", "np.int64(2)"],
 )
 def test_the_thread_count_is_a_positive_integer(monkeypatch, threads, error):
     """Checked in the one sum, so a bad count fails the same way whatever the CPU count."""
