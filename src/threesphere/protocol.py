@@ -25,6 +25,20 @@ the i-th draw is a pure function of ``(seed, i)``: any contiguous block of
 trials can be recomputed independently, which is what makes sharded and
 single-thread runs identical.
 
+Every draw of the package is a word of one lane of that stream, the
+key/counter design of Salmon et al. ("Parallel random numbers: as easy as
+1, 2, 3", SC 2011).  Word ``i`` of lane ``k`` for ``seed`` is splitmix64's
+output at position ``i`` from a key: the seed itself for lane 0, which is
+the orientation stream bit for bit, and ``mix(seed ^ mix(k * gamma))`` for
+lane ``k > 0``, where ``mix`` is splitmix64's output mixer.  There are three
+views: :func:`stream_words`, the words as uint64; :func:`stream_uniform`,
+``((w >> 12) + 0.5) * 2**-52``, strictly inside (0, 1); and the top bit,
+which :func:`handedness_signs` and :func:`handedness_sign_sum` read through
+:func:`_top_bits`.  Lane 0 of a run's seed gives the trials' orientations
+and the protocol suite's; ``factorize_s3_point`` draws from lane 1 of its
+own seed; the identity suites draw from lanes 1 and up of the ``verify``
+seed, as ``suites`` lists.  No module uses numpy's own generators.
+
 One pass, :func:`_top_bits`, walks the stream in chunks of
 :data:`SIGN_CHUNK` draws through three preallocated uint64 buffers and one
 bool buffer (1.6 MB, small enough for a per-core L2 cache); two reductions
@@ -75,6 +89,8 @@ __all__ = [
     "SIGN_CHUNK",
     "handedness_signs",
     "handedness_sign_sum",
+    "stream_words",
+    "stream_uniform",
     "stream_summary",
     "polarizer_axis",
     "alice_outcome",
@@ -97,8 +113,42 @@ _MIX_2 = 0x94D049BB133111EB
 SIGN_CHUNK = 1 << 16
 
 
+def _mix64(z: int) -> int:
+    """The splitmix64 output mixer of one 64-bit Python int."""
+    z = ((z ^ (z >> 30)) * _MIX_1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX_2) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _key(seed: int, lane: int) -> int:
+    """The splitmix64 state that ``lane`` of ``seed`` counts from: the seed for lane 0."""
+    seed, lane = operator.index(seed) & _MASK64, operator.index(lane)
+    if lane < 0:
+        raise ValueError(f"lane must be non-negative, got {lane}")
+    return _mix64(seed ^ _mix64(lane * _GAMMA & _MASK64)) if lane else seed
+
+
+def _operands() -> tuple:
+    """The mixer's uint64 operands as 0-d arrays: gamma, the two multipliers and the shifts."""
+    return tuple(np.array(v, dtype=np.uint64) for v in (_GAMMA, _MIX_1, _MIX_2, 30, 27, 31))
+
+
+def _mix(z: np.ndarray, t: np.ndarray, operands: tuple) -> None:
+    """Mixes the splitmix64 states ``z`` in place, all but the final ``z ^= z >> 31``.
+
+    ``t`` is scratch of ``z``'s size.  This is the one array copy of the mixer.
+    """
+    _, mix_1, mix_2, by_30, by_27, _ = operands
+    np.right_shift(z, by_30, out=t)
+    np.bitwise_xor(z, t, out=z)
+    np.multiply(z, mix_1, out=z)
+    np.right_shift(z, by_27, out=t)
+    np.bitwise_xor(z, t, out=z)
+    np.multiply(z, mix_2, out=z)
+
+
 def _top_bits(seed: int, firsts, end: int):
-    """Sign bits of the splitmix64 draws for ``seed``, one chunk per start taken from ``firsts``.
+    """Sign bits of the lane-0 draws for ``seed``, one chunk per start taken from ``firsts``.
 
     ``firsts`` is an iterable of chunk starts in increasing order, ``SIGN_CHUNK`` apart,
     and the chunk at ``first`` covers draws ``first .. min(first + SIGN_CHUNK, end) - 1``.
@@ -108,29 +158,21 @@ def _top_bits(seed: int, firsts, end: int):
     ``z ^= z >> 31`` keeps the top bit and is skipped; ``np.signbit`` reads
     that bit through the float64 view of every bit pattern, NaNs included.
     """
-    seed = operator.index(seed)  # a Python int, so a numpy seed cannot overflow the offset
-    gamma, mix_1, mix_2, by_30, by_27 = (
-        np.array(value, dtype=np.uint64) for value in (_GAMMA, _MIX_1, _MIX_2, 30, 27)
-    )
+    key = _key(seed, 0)
+    operands = _operands()
     ramp = None
     for first in firsts:
         size = min(SIGN_CHUNK, end - first)
         if ramp is None:
             ramp = np.arange(size, dtype=np.uint64)
-            ramp *= gamma  # ramp[i] = i * gamma; chunk draws are ramp + (seed + (first + 1) * gamma)
+            ramp *= operands[0]  # i * gamma; chunk draws are ramp + (key + (first + 1) * gamma)
             z, t, negative = np.empty_like(ramp), np.empty_like(ramp), np.empty(size, dtype=bool)
         rs, zs, ts, ns = (
             (ramp, z, t, negative) if size == ramp.size
             else (ramp[:size], z[:size], t[:size], negative[:size])
         )
-        offset = np.array((seed + (first + 1) * _GAMMA) & _MASK64, dtype=np.uint64)
-        np.add(rs, offset, out=zs)
-        np.right_shift(zs, by_30, out=ts)
-        np.bitwise_xor(zs, ts, out=zs)
-        np.multiply(zs, mix_1, out=zs)
-        np.right_shift(zs, by_27, out=ts)
-        np.bitwise_xor(zs, ts, out=zs)
-        np.multiply(zs, mix_2, out=zs)
+        np.add(rs, np.array((key + (first + 1) * _GAMMA) & _MASK64, dtype=np.uint64), out=zs)
+        _mix(zs, ts, operands)
         np.signbit(zs.view(np.float64), out=ns)
         yield first, ns
 
@@ -155,6 +197,54 @@ def handedness_signs(seed: int, count: int, start: int = 0) -> np.ndarray:
         np.multiply(flags, -2, out=flags)  # 0 or -2, in the chunk's own buffer
         np.add(flags, 1, out=signs[first - start : first - start + flags.size])
     return signs
+
+
+def stream_words(seed: int, lane: int, start: int, count: int) -> np.ndarray:
+    """Words ``start .. start+count-1`` of ``lane`` of the stream for ``seed``, as uint64.
+
+    Element ``i`` depends only on ``(seed, lane, start+i)``: it is splitmix64's
+    output at position ``start+i`` from the state ``_key(seed, lane)``.  Lane 0 is
+    the orientation stream; its words' top bits are :func:`handedness_signs`.
+    The words are mixed in place, a chunk at a time through one scratch chunk.
+    """
+    count, start = _checked(count, start)
+    operands = _operands()
+    gamma, by_31 = operands[0], operands[5]
+    words = np.arange(count, dtype=np.uint64)
+    words *= gamma
+    words += np.uint64((_key(seed, lane) + (start + 1) * _GAMMA) & _MASK64)
+    scratch = np.empty(min(count, SIGN_CHUNK), dtype=np.uint64)
+    for first in range(0, count, SIGN_CHUNK):
+        z = words[first : first + SIGN_CHUNK]
+        t = scratch[: z.size]
+        _mix(z, t, operands)
+        np.right_shift(z, by_31, out=t)
+        np.bitwise_xor(z, t, out=z)
+    return words
+
+
+def _uniform(words: np.ndarray) -> np.ndarray:
+    """``((w >> 12) + 0.5) * 2**-52`` of uint64 ``words``, as a float64 view of their buffer.
+
+    The top 52 bits under the exponent of 1.0 give ``1 + m * 2**-52`` exactly,
+    and subtracting ``1 - 2**-53`` from that is exact (Sterbenz).  Every value
+    is a half-integer multiple of ``2**-52``, strictly inside (0, 1), so
+    ``2u - 1`` is never 0.  The top 53 bits over ``2**-53`` would round the
+    top word's value up to 1.
+    """
+    np.right_shift(words, np.uint64(12), out=words)
+    np.bitwise_or(words, np.uint64(0x3FF0000000000000), out=words)
+    floats = words.view(np.float64)
+    floats -= 1.0 - 2.0**-53
+    return floats
+
+
+def stream_uniform(seed: int, lane: int, start: int, count: int) -> np.ndarray:
+    """The uniform view of :func:`stream_words`: float64 ``((w >> 12) + 0.5) * 2**-52``.
+
+    Values lie strictly inside (0, 1) and are computed in the words' own buffer.
+    """
+    return _uniform(stream_words(seed, lane, start, count))
 
 
 def stream_summary(n: int, threads: int) -> dict:

@@ -19,6 +19,16 @@ vectors once per suite call.
 The protocol block also reads its part of the orientation stream twice
 and sums it with the kernel behind ``simulate`` and ``scan``; the
 balance check is that kernel's one sum over the whole stream.
+
+Every instance is drawn from the suite seed's splitmix64 lanes
+(``protocol.stream_words``), not from a second generator.  The protocol
+block's outcomes take the orientations of lane 0, the stream it checks.
+Each other draw has a lane of its own: the algebra block's uniform
+coordinates, the topology block's unit rows (Marsaglia's rejection
+constructions, one pair of lanes per block) and its factorization seed, and
+the protocol block's angles.  A block's draws depend only on the seed and
+the block's first instance, so a given ``--samples`` and ``--seed`` always
+check the same instances.
 """
 
 from __future__ import annotations
@@ -46,6 +56,8 @@ from .protocol import (
     handedness_sign_sum,
     handedness_signs,
     joint_product_closed_form,
+    stream_uniform,
+    stream_words,
 )
 from .topology import (
     NorthPoleError,
@@ -69,6 +81,13 @@ __all__ = ["BLOCK", "PropertyCheck", "algebra_suite", "topology_suite", "protoco
 # resident memory rose 2.5 MB, from 61.3 MB.  Drawing only the factors used
 # brought the topology peak to 2.1 MB.
 BLOCK = 1 << 12
+
+# Lanes of the suite seed.  Lane 0 is the orientation stream, which the protocol
+# suite reads; every other draw has a lane of its own.  A draw of w words per
+# instance reads words start*w .. (start + size)*w - 1 of its lane for the block of
+# size instances from start.  Topology block b takes its unit rows, drawn by
+# rejection, whole from lanes _SPHERES + 2b and _SPHERES + 2b + 1.
+_TRIPLES, _SIGNS, _VECTORS, _EVENS, _ANGLES, _FACTOR_SEEDS, _SPHERES = range(1, 8)
 
 # Coefficient positions of the scalar and the three bivectors in a multivector row.
 _EVEN = [0, 4, 5, 6]
@@ -101,8 +120,18 @@ def _checks(residuals, *table) -> list:
     return [PropertyCheck(name, worst, tol) for (name, tol), worst in zip(table, residuals)]
 
 
-def _random_signs(rng, size: int) -> np.ndarray:
-    return 1.0 - 2.0 * rng.integers(2, size=size)
+def _rows(seed: int, lane: int, start: int, size: int, *shape: int) -> np.ndarray:
+    """Uniforms in (-1, 1) as ``shape[:-1] + (size, shape[-1])`` rows, for ``size`` instances.
+
+    The block of instances from ``start`` reads words ``start * w .. (start + size) * w - 1`` of ``lane``, ``w``
+    the product of ``shape``, as a coefficient-major ``shape + (size,)`` block, so
+    each row column is contiguous.  ``2u - 1`` is never 0, so its sign is +1 or -1.
+    """
+    width = math.prod(shape)
+    square = stream_uniform(seed, lane, start * width, size * width)
+    square *= 2.0
+    square -= 1.0
+    return np.moveaxis(square.reshape(shape + (size,)), -1, -2)
 
 
 def _split_gap(a, b) -> float:
@@ -158,21 +187,19 @@ def _basis_residuals() -> tuple:
 
 
 def algebra_suite(samples: int = 1000, seed: int = 0) -> list:
-    rng = np.random.default_rng(seed)
-
     def block(start, size):
         # Only the first block samples the bilinear checks.  Each draw's
         # residuals are taken, and its rows dropped, before the next draw.
         split = generic = closure = associativity = flip = 0.0
         if start == 0:
-            associativity = _associativity_gap(*rng.uniform(-10.0, 10.0, (3, size, 8)))
-            signs = _random_signs(rng, size)
-            a, b = rng.standard_normal((2, size, 3))
+            associativity = _associativity_gap(*10.0 * _rows(seed, _TRIPLES, 0, size, 3, 8))
+            signs = np.sign(_rows(seed, _SIGNS, 0, size, 1)[:, 0])
+            a, b = _rows(seed, _VECTORS, 0, size, 2, 3)
             split = _split_gap(a, b)
             generic = _gap(bivector_identity_residual(signs, a, b), 0.0)
             flip = _flip_gap(a)
             del a, b
-        p, q = rng.standard_normal((2, size, 4))
+        p, q = _rows(seed, _EVENS, start, size, 2, 4)
         pq = even_product(p, q)
         if start == 0:
             closure = _closure_gap(p, q, pq)
@@ -193,8 +220,6 @@ def algebra_suite(samples: int = 1000, seed: int = 0) -> list:
 
 
 def topology_suite(samples: int = 1000, seed: int = 0) -> list:
-    rng = np.random.default_rng(seed)
-
     try:
         stereographic_project(S2Point(0.0, 0.0, 1.0))
         pole_accepted = 1.0
@@ -205,20 +230,22 @@ def topology_suite(samples: int = 1000, seed: int = 0) -> list:
     # vectors, taken through the live kernels, holds it exactly for every input.
     basis_witness = _witness_gap(*np.eye(3)[np.indices((3, 3)).reshape(2, -1)])
 
-    # Instance i splits its target into 1 + i % 8 factors.  A block is factorized
-    # in one call, under a fresh seed, and multiplied back over all its slots;
-    # the identities padding the shorter rows multiply exactly.  The pole
-    # check is one fixed instance, so every block reports it.
+    # Instance i splits its target into 1 + i % 8 factors.  Block b is factorized
+    # in one call, under the seed of word b of its lane, and multiplied back over
+    # all its slots; the identities padding the shorter rows multiply exactly.  The
+    # pole check is one fixed instance, so every block reports it.
     def block(start, size):
-        a, b = _random_unit_rows(rng, 3, 2, size)
+        lanes = _SPHERES + 2 * (start // BLOCK)
+        a, b = _random_unit_rows(seed, lanes, 3, 2 * size).reshape(2, size, 3)
         a[a[:, 2] > 1.0 - 1e-6, 2] *= -1.0
         round_trip = _gap(stereographic_unproject(stereographic_project(a)), a)
         witness = np.maximum(_witness_gap(a, b), basis_witness)
         del a, b
-        p, q = _random_unit_rows(rng, 4, 2, size)
+        p, q = _random_unit_rows(seed, lanes + 1, 4, 2 * size).reshape(2, size, 4)
         closure = _gap(np.sum(even_product(p, q) ** 2, axis=1), 1.0)
         counts = 1 + (start + np.arange(size)) % 8
-        factors = factorize_s3_point(p, counts, seed=int(rng.integers(2**31)))
+        factor_seed = int(stream_words(seed, _FACTOR_SEEDS, start // BLOCK, 1)[0])
+        factors = factorize_s3_point(p, counts, seed=factor_seed)
         multiplied_back = _gap(functools.reduce(even_product, factors.swapaxes(0, 1)), p)
         del p, q
         # Squares summed in place, in the order np.einsum takes over C-ordered rows
@@ -250,21 +277,19 @@ def topology_suite(samples: int = 1000, seed: int = 0) -> list:
 
 
 def protocol_suite(samples: int = 1000, seed: int = 0) -> list:
-    rng = np.random.default_rng(seed)
-
+    # Each instance's outcomes take the orientation its stream position holds.
     def block(start, size):
-        alpha, beta = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (2, size))
-        signs = _random_signs(rng, size)
+        alpha, beta = 2.0 * math.pi * _rows(seed, _ANGLES, start, size, 2).T
+        signs = handedness_signs(seed, size, start)
         alice = alice_outcome(alpha, signs)
         direct = oriented_even_product(signs, alice, bob_outcome(beta, signs))
-        stream = handedness_signs(seed, size, start)
-        sum_gap = abs(int(stream.sum()) - handedness_sign_sum(seed, size, start))
+        sum_gap = abs(int(signs.sum()) - handedness_sign_sum(seed, size, start))
         return (
             _gap(direct, joint_product_closed_form(alpha, beta, signs)),
             max(_gap(alice[:, 0], 0.0), _gap(np.sum(alice * alice, axis=1), 1.0)),
             _gap(np.sum(direct * direct, axis=1), 1.0),
             _gap(alice, alice_outcome(alpha + math.pi, signs)),
-            max(_gap(stream, handedness_signs(seed, size, start)), sum_gap),
+            max(_gap(signs, handedness_signs(seed, size, start)), sum_gap),
         )
 
     return _checks(

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import RIGHT_HANDED, EvenElement, _columns, _result, dual_bivector, even_product
+from .protocol import stream_uniform
 
 __all__ = [
     "NorthPoleError",
@@ -87,25 +88,99 @@ def is_equatorial(q: EvenElement, tol: float = 1e-12) -> bool:
     return is_unit_s3(q, tol) and abs(q.s) <= tol
 
 
-def _random_unit_rows(rng: np.random.Generator, width: int, *shape: int) -> np.ndarray:
-    """Uniform points of the unit sphere in ``width`` dimensions as ``shape + (width,)`` rows."""
-    rows = rng.standard_normal(shape + (width,))
-    # Summed column by column, in np.sum's order, with no ``rows * rows`` temporary.
-    norm = np.zeros(shape)
-    for column in np.moveaxis(rows, -1, 0):
-        norm += column * column
-    rows /= np.sqrt(norm)[..., None]
-    return rows
+# Pairs one round of a disk draw reads at most: 2**13 words, 64 KiB.  The verify
+# topology suite at 10**4 samples took the same time with rounds of 2**12 to 2**14
+# pairs and of the whole draw, and 12% longer with rounds of 2**11 (2-vCPU host).
+_DISK_ROUND = 1 << 12
+
+# The lane of its seed that factorize_s3_point draws its factors from.
+_FACTOR_LANE = 1
+
+
+def _disk_points(seed: int, lane: int, halves: list) -> None:
+    """Fills the ``(x, y)`` column pairs in ``halves`` with ``lane``'s points inside the unit disk.
+
+    Pair ``j`` of the lane, its words ``2j`` and ``2j + 1`` taken as ``2u - 1``,
+    is a point of the square (-1, 1)^2; about pi/4 of them fall inside the
+    open disk.  With ``h`` column pairs of ``n`` rows, the ``k``-th point inside
+    goes to row ``k // h`` of pair ``k % h``, for the first ``h * n`` points.
+    Each round reads a third more pairs than points are missing, plus 16, and
+    at most :data:`_DISK_ROUND`.  The draw is bounded: past ``2hn + 64`` pairs,
+    where fewer than half of them fell inside, it raises ``ArithmeticError``.
+    """
+    ways = len(halves)
+    count = ways * len(halves[0][0])
+    kept = first = 0
+    while kept < count:
+        if first >= 2 * count + 64:
+            missing = count - kept
+            raise ArithmeticError(f"{missing} of {count} disk points missing after {first} pairs")
+        size = min(_DISK_ROUND, (count - kept) * 4 // 3 + 16)
+        xy = stream_uniform(seed, lane, 2 * first, 2 * size)
+        xy *= 2.0
+        xy -= 1.0
+        x, y = xy[0::2], xy[1::2]
+        inside = np.flatnonzero(_squared_radii(x, y) < 1.0)[: count - kept]
+        for half, (xs, ys) in enumerate(halves):
+            skip = (half - kept) % ways
+            picks = inside[skip::ways]
+            row = (kept + skip) // ways
+            np.take(x, picks, out=xs[row : row + picks.size])
+            np.take(y, picks, out=ys[row : row + picks.size])
+        kept += inside.size
+        first += size
+
+
+def _squared_radii(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x*x + y*y``, in the one order both the draw and the rows use."""
+    s = np.square(x)
+    s += np.square(y)
+    return s
+
+
+def _random_unit_rows(seed: int, lane: int, width: int, count: int) -> np.ndarray:
+    """``count`` uniform points of the unit sphere in ``width`` = 3 or 4 dimensions, from ``lane``.
+
+    Marsaglia's constructions (Ann. Math. Stat. 43, 1972) on the points of
+    :func:`_disk_points`, with no trigonometry.  A 2-sphere row takes one
+    point, ``(x, y)`` of squared radius ``s``, to ``(2x sqrt(1-s), 2y sqrt(1-s),
+    1 - 2s)``.  A 3-sphere row takes the next two, ``(x1, y1)`` and ``(x2, y2)``,
+    to ``(x1, y1, x2 c, y2 c)`` with ``c = sqrt((1 - s1) / s2)``.  So the first
+    rows of a longer draw are the shorter draw.  Rows are the ``(count, width)``
+    view of a coefficient-major block, as the row kernels return.
+    """
+    block = np.empty((width, count))
+    if width == 3:
+        x, y, z = block
+        _disk_points(seed, lane, [(x, y)])
+        s = _squared_radii(x, y)
+        np.multiply(s, -2.0, out=z)
+        z += 1.0
+        np.subtract(1.0, s, out=s)
+        np.sqrt(s, out=s)
+        s *= 2.0
+        x *= s
+        y *= s
+        return block.T
+    x1, y1, x2, y2 = block
+    _disk_points(seed, lane, [(x1, y1), (x2, y2)])
+    scale = np.subtract(1.0, _squared_radii(x1, y1))
+    scale /= _squared_radii(x2, y2)
+    np.sqrt(scale, out=scale)
+    x2 *= scale
+    y2 *= scale
+    return block.T
 
 
 def factorize_s3_point(target, count, seed: int):
     """Split a 3-sphere point into ``count`` unit factors that multiply back to it.
 
     The first ``count - 1`` factors are drawn uniformly on the 3-sphere
-    (normalized 4-component Gaussians, deterministic for a fixed seed);
-    the last factor is the inverse of their ordered product times the
-    target.  Every factor is unit and the ordered product reproduces the
-    target up to rounding.  An :class:`EvenElement` target gives a list
+    (Marsaglia's construction on lane 1 of ``seed``'s splitmix64 stream, see
+    :func:`_random_unit_rows`, so a fixed seed gives fixed factors); the last
+    factor is the inverse of their ordered product times the target.  Every
+    factor is unit and the ordered product reproduces the target up to
+    rounding.  An :class:`EvenElement` target gives a list
     of factors; ``(N, 4)`` target rows give ``(N, count, 4)`` factor rows.
 
     For rows, ``count`` may also be an ``(N,)`` integer array of per-row
@@ -141,7 +216,7 @@ def factorize_s3_point(target, count, seed: int):
         factors[:, 0] = targets
         return factors
     drawn = np.arange(width + 1) < counts[:, None] - 1
-    factors[drawn] = _random_unit_rows(np.random.default_rng(seed), 4, int(np.count_nonzero(drawn)))
+    factors[drawn] = _random_unit_rows(seed, _FACTOR_LANE, 4, int(np.count_nonzero(drawn)))
     prefix = functools.reduce(even_product, factors[:, :width].swapaxes(0, 1))
     last = even_product(prefix * np.array([1.0, -1.0, -1.0, -1.0]), targets)
     last /= np.linalg.norm(last, axis=1, keepdims=True)

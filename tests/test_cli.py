@@ -768,3 +768,36 @@ def test_package_runs_as_a_module():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "verify: all properties hold"
+
+
+GUARD = """
+import contextlib, io, sys
+from threesphere.cli import main
+out = sys.argv[1]
+argvs = [
+    ["verify", "all", "--samples", "1000"],
+    ["simulate", "--alpha-deg", "0", "--beta-deg", "30", "--n", "1000", "--out", out + "/s.csv"],
+    ["scan", "--alpha-deg", "0", "--beta-start", "0", "--beta-stop", "90", "--beta-step", "45",
+     "--n", "1000", "--out", out + "/scan.csv"],
+    ["chsh", "--maximize", "--step-deg", "7", "--analytic", "--out", out + "/chsh.csv"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in argvs]
+print(codes, sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "random"]))
+"""
+
+
+def test_no_command_imports_numpy_random(tmp_path):
+    """Every draw comes from the splitmix64 lanes: numpy.random is never loaded."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", GUARD, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[0, 0, 0, 0] []\n"
+    sources = "\n".join(path.read_text() for path in sorted((src / "threesphere").glob("*.py")))
+    assert not re.search(r"\bnp\.random\b|\bnumpy\.random\b|from numpy import random", sources)

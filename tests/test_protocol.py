@@ -309,6 +309,107 @@ def test_sign_sum_rejects_a_negative_count():
 
 
 # ---------------------------------------------------------------------------
+# Lanes of the stream
+# ---------------------------------------------------------------------------
+
+
+def mix64(z):
+    """splitmix64's output mixer of one 64-bit int, in plain Python ints."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def lane_word(seed, lane, position):
+    """Word ``position`` of ``lane``: lane 0 counts from the seed, lane k from a mixed key."""
+    key = seed & MASK64
+    if lane:
+        key = mix64(key ^ mix64(lane * 0x9E3779B97F4A7C15 & MASK64))
+    return splitmix64(key, position)
+
+
+def test_lane_zero_words_are_the_published_seed_zero_outputs():
+    assert protocol.stream_words(0, 0, 0, 3).tolist() == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F
+    ]
+    assert protocol.stream_words(0, 0, 0, 3).dtype == np.uint64
+
+
+@pytest.mark.parametrize("lane", [0, 1, 3, 2**64 - 1])
+@pytest.mark.parametrize("seed, start", [(2**64 - 1, 0), (-5, 17), (2**63 + 12345, 2**40 + 3)])
+def test_lane_words_match_the_reference_mixer(seed, start, lane):
+    count = SIGN_CHUNK + 5
+    words = protocol.stream_words(seed, lane, start, count)
+    picked = [0, 1, SIGN_CHUNK - 1, SIGN_CHUNK, count - 1]
+    assert [int(words[i]) for i in picked] == [lane_word(seed, lane, start + i) for i in picked]
+
+
+@pytest.mark.parametrize("count", [1, SIGN_CHUNK - 1, SIGN_CHUNK + 1, 3 * SIGN_CHUNK + 5])
+@pytest.mark.parametrize(
+    "seed, start",
+    [(2**64 - 1, 0), (-5, 17), (1, 2**64 - 3), (np.uint64(2**64 - 1), np.int64(SIGN_CHUNK - 2)),
+     (np.int32(5), 0)],
+    ids=repr,
+)
+def test_lane_zero_top_bits_are_the_orientation_signs(seed, start, count):
+    """Counts that end mid-chunk, a start that wraps the period, numpy-integer seeds."""
+    words = protocol.stream_words(seed, 0, start, np.int64(count))
+    signs = 1 - 2 * (words >> np.uint64(63)).astype(np.int64)
+    assert np.array_equal(signs, handedness_signs(seed, count, start))
+
+
+@pytest.mark.parametrize("lane", [0, 1, 6])
+def test_words_drawn_in_pieces_equal_one_call(lane):
+    cuts = [0, 3, SIGN_CHUNK - 1, SIGN_CHUNK + 2, 2 * SIGN_CHUNK, 2 * SIGN_CHUNK + 77]
+    whole = protocol.stream_words(42, lane, 10, cuts[-1])
+    pieces = [protocol.stream_words(42, lane, 10 + a, b - a) for a, b in zip(cuts, cuts[1:])]
+    assert np.array_equal(np.concatenate(pieces), whole)
+
+
+def lane_correlations(seed, lanes, n, lags):
+    """Largest ``|mean(s_a[i] s_b[i + lag])|`` of the lanes' top-bit signs, over distinct pairs."""
+    signs = [1 - 2 * (protocol.stream_words(seed, lane, 0, n + max(lags)) >> np.uint64(63)).astype(np.int8)
+             for lane in lanes]
+    worst = 0.0
+    for a in range(len(lanes)):
+        for b in range(a, len(lanes)):
+            for lag in lags:
+                if a == b and lag == 0:
+                    continue
+                product = signs[a][:n].astype(np.int64) @ signs[b][lag : lag + n]
+                worst = max(worst, abs(int(product)) / n)
+    return worst
+
+
+def test_lane_sign_sums_are_uncorrelated(monkeypatch):
+    n = 2**20
+    assert lane_correlations(2026, range(4), n, range(3)) <= 6.0 / math.sqrt(n)
+    # Lanes that shared their key would be one stream: the check reads 1 there.
+    monkeypatch.setattr(protocol, "_key", lambda seed, lane: seed)
+    assert lane_correlations(2026, range(2), 4096, [0]) == 1.0
+
+
+def test_uniform_lies_strictly_inside_the_unit_interval():
+    extremes = [0, 1, 2**12 - 1, 2**12, 2**63 - 1, 2**63, 2**64 - 2**12, 2**64 - 1]
+    u = protocol._uniform(np.array(extremes, dtype=np.uint64))
+    assert u.tolist() == [((w >> 12) + 0.5) * 2.0**-52 for w in extremes]
+    assert u[0] == 2.0**-53 and u[-1] == 1.0 - 2.0**-53
+    assert np.all((0.0 < u) & (u < 1.0)) and np.all(2.0 * u - 1.0 != 0.0)
+    # The top 53 bits over 2**-53 cannot hold the top word's half step: it rounds to 1.
+    assert ((2**64 - 1 >> 11) + 0.5) * 2.0**-53 == 1.0
+    words = protocol.stream_words(9, 2, 5, 10**5)
+    drawn = protocol.stream_uniform(9, 2, 5, 10**5)
+    assert drawn.tolist() == [((int(w) >> 12) + 0.5) * 2.0**-52 for w in words]
+    assert 0.0 < drawn.min() and drawn.max() < 1.0
+
+
+def test_lanes_reject_a_negative_lane_start_or_count():
+    for lane, start, count in ((-1, 0, 1), (0, -1, 1), (1, 0, -1)):
+        with pytest.raises(ValueError):
+            protocol.stream_words(0, lane, start, count)
+
+
+# ---------------------------------------------------------------------------
 # Trials
 # ---------------------------------------------------------------------------
 

@@ -36,6 +36,7 @@ from threesphere.protocol import (
     bob_outcome,
     joint_product_closed_form,
     polarizer_axis,
+    stream_words,
 )
 from threesphere.topology import (
     PlanePoint,
@@ -405,11 +406,10 @@ def test_batched_factorization_matches_the_dataclass_chain(rng, count):
     targets = unit_rows(rng, (ROWS,), 4)
     factors = factorize_s3_point(targets, count, seed=11)
     assert factors.shape == (ROWS, count, 4)
-    # The first count - 1 factors are the documented draws: normalized Gaussians.
-    gaussians = np.random.default_rng(11).standard_normal((ROWS, count - 1, 4))
-    for target, rows, drawn in zip(targets, factors, gaussians):
-        for row, g in zip(rows, drawn):
-            np.testing.assert_allclose(row, g / math.sqrt(dot(g, g)), rtol=0.0, atol=1e-15)
+    # The first count - 1 factors are the documented draws: unit rows of the factor lane.
+    draws = lane_rows(11, topology._FACTOR_LANE, 4, ROWS * (count - 1)).reshape(ROWS, count - 1, 4)
+    for target, rows, drawn in zip(targets, factors, draws):
+        assert rows[:-1].tobytes() == drawn.tobytes()
         prefix = (1.0, 0.0, 0.0, 0.0)
         for row in rows[:-1]:
             prefix = even_product_oracle(1, prefix, row)
@@ -454,8 +454,41 @@ def test_mixed_factor_counts_draw_only_the_slots_they_use(rng):
     counts[:2] = 1, 8
     factors = factorize_s3_point(targets, counts, seed=11)
     slots = [row for count, rows in zip(counts, factors) for row in rows[: count - 1]]
-    drawn = _random_unit_rows(np.random.default_rng(11), 4, int(np.sum(counts - 1)))
+    drawn = lane_rows(11, topology._FACTOR_LANE, 4, int(np.sum(counts - 1)))
     assert np.array(slots).tobytes() == drawn.tobytes()
+
+
+def disk_points(seed, lane, count):
+    """The first ``count`` pairs of ``lane``'s words, as ``2u - 1``, that fall inside the unit disk."""
+    points, first = [], 0
+    while len(points) < count:
+        words = stream_words(seed, lane, 2 * first, 2 * 1024)
+        us = [((int(w) >> 12) + 0.5) * 2.0**-52 for w in words]
+        for x, y in zip(*[iter([2.0 * u - 1.0 for u in us])] * 2):
+            if x * x + y * y < 1.0 and len(points) < count:
+                points.append((x, y))
+        first += 1024
+    return points
+
+
+def lane_rows(seed, lane, width, count):
+    """Marsaglia's unit rows from the lane's disk points, one plain-float row at a time.
+
+    A 2-sphere row maps one point, a 3-sphere row the next two.
+    """
+    points = iter(disk_points(seed, lane, count * (width - 2)))
+    rows = []
+    for _ in range(count):
+        x, y = next(points)
+        s = x * x + y * y
+        if width == 3:
+            f = math.sqrt(1.0 - s) * 2.0
+            rows.append((x * f, y * f, s * -2.0 + 1.0))
+        else:
+            x2, y2 = next(points)
+            c = math.sqrt((1.0 - s) / (x2 * x2 + y2 * y2))
+            rows.append((x, y, x2 * c, y2 * c))
+    return np.array(rows, dtype=float).reshape(count, width)
 
 
 def padded_factorization(targets, count, seed):
@@ -470,7 +503,7 @@ def padded_factorization(targets, count, seed):
     factors = np.zeros((len(targets), width + 1, 4))
     factors[..., 0] = 1.0
     drawn = np.arange(width + 1) < counts[:, None] - 1
-    factors[drawn] = _random_unit_rows(np.random.default_rng(seed), 4, int(np.count_nonzero(drawn)))
+    factors[drawn] = lane_rows(seed, topology._FACTOR_LANE, 4, int(np.count_nonzero(drawn)))
     prefix = factors[:, 0]
     for k in range(1, width):
         prefix = topology.even_product(prefix, factors[:, k])
@@ -520,12 +553,15 @@ def test_a_topology_block_multiplies_every_slot(monkeypatch):
 
 
 @pytest.mark.parametrize("width", [3, 4])
-def test_unit_rows_equal_the_whole_row_normalization_bit_for_bit(width):
-    rows = _random_unit_rows(np.random.default_rng(5), width, 2, suites.BLOCK)
-    gaussians = np.random.default_rng(5).standard_normal((2, suites.BLOCK, width))
-    expected = gaussians / np.sqrt(np.sum(gaussians * gaussians, axis=-1, keepdims=True))
-    assert rows.shape == expected.shape
-    assert np.array_equal(rows.view(np.uint64), expected.view(np.uint64))
+def test_unit_rows_equal_marsaglias_construction_bit_for_bit(width):
+    """Rows are the per-row formulas on the lane's disk points, and the first rows of a
+    longer draw are the shorter draw."""
+    count = 2 * suites.BLOCK + 3
+    rows = _random_unit_rows(5, 2, width, count)
+    assert rows.shape == (count, width)
+    assert np.moveaxis(rows, -1, 0).flags.c_contiguous
+    assert np.ascontiguousarray(rows).tobytes() == lane_rows(5, 2, width, count).tobytes()
+    assert _random_unit_rows(5, 2, width, 1000).tobytes() == rows[:1000].tobytes()
 
 
 @pytest.mark.parametrize(

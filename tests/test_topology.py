@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from threesphere import topology
 from threesphere.algebra import (
     RIGHT_HANDED,
     EvenElement,
@@ -13,6 +14,7 @@ from threesphere.algebra import (
     even_product,
     geometric_product,
 )
+from threesphere.protocol import stream_uniform
 from threesphere.topology import (
     NorthPoleError,
     PlanePoint,
@@ -124,6 +126,69 @@ def test_factorization_rejects_bad_input():
         factorize_s3_point(EvenElement(1, 0, 0, 0), 0, seed=0)
     with pytest.raises(ValueError):
         factorize_s3_point(EvenElement(2, 0, 0, 0), 3, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Unit-row sampler
+# ---------------------------------------------------------------------------
+
+SAMPLED = 2**16
+# E[x^4] of one coordinate of a uniform point of the sphere in n dimensions is
+# 3 / (n (n + 2)), and E[x^2] is 1 / n; each bound is 6 standard errors at 2**16 rows.
+FOURTH = {3: (1 / 5, 0.0063), 4: (1 / 8, 0.0046)}
+SECOND = {3: (1 / 3, 0.0070), 4: (1 / 4, 0.0059)}
+
+
+def moment_gap(rows, power, width):
+    expected, bound = (FOURTH if power == 4 else SECOND)[width]
+    gap = float(np.max(np.abs(np.mean(rows**power, axis=0) - expected)))
+    return gap, gap <= bound
+
+
+def cube_rows(seed, lane, width, count):
+    """A wrong sampler: points of the cube (-1, 1)^width pushed out onto the sphere."""
+    rows = 2.0 * stream_uniform(seed, lane, 0, width * count).reshape(count, width) - 1.0
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("width", [3, 4])
+def test_unit_rows_lie_on_the_sphere(width):
+    rows = topology._random_unit_rows(17, 2, width, SAMPLED)
+    assert rows.shape == (SAMPLED, width)
+    assert float(np.max(np.abs(np.sum(rows * rows, axis=1) - 1.0))) <= 1e-15
+
+
+@pytest.mark.parametrize("width", [3, 4])
+def test_unit_rows_have_the_fourth_moments_of_the_uniform_sphere(width):
+    rows = topology._random_unit_rows(17, 2, width, SAMPLED)
+    assert moment_gap(rows, 4, width)[1], moment_gap(rows, 4, width)
+    assert moment_gap(rows, 2, width)[1]
+
+
+@pytest.mark.parametrize("width, reads", [(3, 0.180), (4, 0.107)])
+def test_normalized_cube_points_pass_the_second_moment_and_fail_the_fourth(width, reads):
+    rows = cube_rows(17, 2, width, SAMPLED)
+    assert moment_gap(rows, 2, width)[1]
+    gap, passed = moment_gap(rows, 4, width)
+    assert not passed
+    assert np.allclose(np.mean(rows**4, axis=0), reads, atol=0.003)
+
+
+@pytest.mark.parametrize("width", [3, 4])
+def test_a_rejection_shortfall_raises_after_the_bounded_retry(monkeypatch, width):
+    """Pairs that never fall inside the disk end the draw after at most 2n + 64 pairs."""
+    pairs = []
+
+    def outside(seed, lane, start, count):
+        pairs.append(count // 2)
+        return np.full(count, 0.99)  # every pair maps to (0.98, 0.98), outside the disk
+
+    monkeypatch.setattr(topology, "stream_uniform", outside)
+    count = 3000
+    with pytest.raises(ArithmeticError, match="disk points missing"):
+        topology._random_unit_rows(1, 2, width, count)
+    points = count * (width - 2)
+    assert sum(pairs) >= 2 * points + 64 and sum(pairs) - pairs[-1] < 2 * points + 64
 
 
 # ---------------------------------------------------------------------------
