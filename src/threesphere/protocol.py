@@ -123,8 +123,8 @@ def _mix64(z: int) -> int:
 def _key(seed: int, lane: int) -> int:
     """The splitmix64 state that ``lane`` of ``seed`` counts from: the seed for lane 0."""
     seed, lane = operator.index(seed) & _MASK64, operator.index(lane)
-    if lane < 0:
-        raise ValueError(f"lane must be non-negative, got {lane}")
+    if not 0 <= lane <= _MASK64:
+        raise ValueError(f"lane must be in [0, 2**64), got {lane}")
     return _mix64(seed ^ _mix64(lane * _GAMMA & _MASK64)) if lane else seed
 
 
@@ -203,9 +203,11 @@ def stream_words(seed: int, lane: int, start: int, count: int) -> np.ndarray:
     """Words ``start .. start+count-1`` of ``lane`` of the stream for ``seed``, as uint64.
 
     Element ``i`` depends only on ``(seed, lane, start+i)``: it is splitmix64's
-    output at position ``start+i`` from the state ``_key(seed, lane)``.  Lane 0 is
-    the orientation stream; its words' top bits are :func:`handedness_signs`.
-    The words are mixed in place, a chunk at a time through one scratch chunk.
+    output at position ``start+i`` from the lane's key, the seed itself for lane 0
+    and ``mix(seed ^ mix(lane * gamma))`` above.  Lane 0 is the orientation
+    stream; its words' top bits are :func:`handedness_signs`.  The words are
+    mixed in place, a chunk at a time through one scratch chunk.  ``lane`` must
+    be in [0, 2**64), ``start`` and ``count`` non-negative.
     """
     count, start = _checked(count, start)
     operands = _operands()

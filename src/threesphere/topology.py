@@ -97,8 +97,8 @@ _DISK_ROUND = 1 << 12
 _FACTOR_LANE = 1
 
 
-def _disk_points(seed: int, lane: int, halves: list) -> None:
-    """Fills the ``(x, y)`` column pairs in ``halves`` with ``lane``'s points inside the unit disk.
+def _disk_points(seed: int, lane: int, columns: list) -> None:
+    """Fills the ``(x, y)`` column pairs in ``columns`` with ``lane``'s points inside the unit disk.
 
     Pair ``j`` of the lane, its words ``2j`` and ``2j + 1`` taken as ``2u - 1``,
     is a point of the square (-1, 1)^2; about pi/4 of them fall inside the
@@ -108,8 +108,8 @@ def _disk_points(seed: int, lane: int, halves: list) -> None:
     at most :data:`_DISK_ROUND`.  The draw is bounded: past ``2hn + 64`` pairs,
     where fewer than half of them fell inside, it raises ``ArithmeticError``.
     """
-    ways = len(halves)
-    count = ways * len(halves[0][0])
+    ways = len(columns)
+    count = ways * len(columns[0][0])
     kept = first = 0
     while kept < count:
         if first >= 2 * count + 64:
@@ -121,8 +121,8 @@ def _disk_points(seed: int, lane: int, halves: list) -> None:
         xy -= 1.0
         x, y = xy[0::2], xy[1::2]
         inside = np.flatnonzero(_squared_radii(x, y) < 1.0)[: count - kept]
-        for half, (xs, ys) in enumerate(halves):
-            skip = (half - kept) % ways
+        for way, (xs, ys) in enumerate(columns):
+            skip = (way - kept) % ways
             picks = inside[skip::ways]
             row = (kept + skip) // ways
             np.take(x, picks, out=xs[row : row + picks.size])

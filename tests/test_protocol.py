@@ -403,8 +403,8 @@ def test_uniform_lies_strictly_inside_the_unit_interval():
     assert 0.0 < drawn.min() and drawn.max() < 1.0
 
 
-def test_lanes_reject_a_negative_lane_start_or_count():
-    for lane, start, count in ((-1, 0, 1), (0, -1, 1), (1, 0, -1)):
+def test_lanes_reject_an_out_of_range_lane_start_or_count():
+    for lane, start, count in ((-1, 0, 1), (2**64, 0, 1), (0, -1, 1), (1, 0, -1)):
         with pytest.raises(ValueError):
             protocol.stream_words(0, lane, start, count)
 
