@@ -26,9 +26,9 @@ block's outcomes take the orientations of lane 0, the stream it checks.
 Each other draw has a lane of its own: the algebra block's uniform
 coordinates, the topology block's unit rows (Marsaglia's rejection
 constructions, one pair of lanes per block) and its factorization seed, and
-the protocol block's angles.  A block's draws depend only on the seed and
-the block's first instance, so a given ``--samples`` and ``--seed`` always
-check the same instances.
+the protocol block's angles.  A block's draws depend only on the seed, the
+block's first instance and its size, so a given ``--samples`` and ``--seed``
+always check the same instances.
 """
 
 from __future__ import annotations
@@ -123,9 +123,10 @@ def _checks(residuals, *table) -> list:
 def _rows(seed: int, lane: int, start: int, size: int, *shape: int) -> np.ndarray:
     """Uniforms in (-1, 1) as ``shape[:-1] + (size, shape[-1])`` rows, for ``size`` instances.
 
-    The block of instances from ``start`` reads words ``start * w .. (start + size) * w - 1`` of ``lane``, ``w``
-    the product of ``shape``, as a coefficient-major ``shape + (size,)`` block, so
-    each row column is contiguous.  ``2u - 1`` is never 0, so its sign is +1 or -1.
+    The block of instances from ``start`` reads words ``start * w`` to
+    ``(start + size) * w - 1`` of ``lane``, ``w`` the product of ``shape``, as a
+    coefficient-major ``shape + (size,)`` block, so each row column is
+    contiguous.  ``2u - 1`` is never 0, so its sign is +1 or -1.
     """
     width = math.prod(shape)
     square = stream_uniform(seed, lane, start * width, size * width)
