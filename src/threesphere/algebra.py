@@ -22,10 +22,10 @@ of the oriented product (see :func:`oriented_even_product`).
 Every operation is an array kernel over stacked ``(..., 8)``, ``(..., 4)``
 or ``(..., 3)`` coefficient rows, with the orientation as +1/-1 row signs:
 the full products read their signs from a signed ``(8, 8, 8)`` Cayley
-tensor and gather one blade per term, the even ones apply one column
-formula.  A dataclass argument, a :class:`Handedness` for the signs, is
-one row: dataclasses alone return a dataclass, and among arrays each is
-broadcast as its row.  Array results follow one layout rule: rows are a
+tensor and gather one blade per term, the even ones write the four rows
+of one column formula in place into their result block.  A dataclass
+argument, a :class:`Handedness` for the signs, is one row: dataclasses
+alone return a dataclass, and among arrays each is broadcast as its row.  Array results follow one layout rule: rows are a
 ``(..., k)`` view of one coefficient-major ``(k, ...)`` block, so each
 column a chained kernel reads is contiguous.  Products are only
 :func:`geometric_product`, :func:`wedge` and :func:`even_product`: a
@@ -339,16 +339,35 @@ def oriented_even_product(handedness, lhs, rhs):
     reduces to :func:`even_product`; either way the scalar part and the
     norm are unchanged, so closure of the 3-sphere is orientation-free.
     """
-    s1, u1, u2, u3 = _columns(lhs)
-    s2, v1, v2, v3 = _columns(rhs)
+    s1, *u = _columns(lhs)
+    s2, *v = _columns(rhs)
     h = _signs(handedness)
-    coeffs = (
-        s1 * s2 - (u1 * v1 + u2 * v2 + u3 * v3),
-        s1 * v1 + s2 * u1 - h * (u2 * v3 - u3 * v2),
-        s1 * v2 + s2 * u2 - h * (u3 * v1 - u1 * v3),
-        s1 * v3 + s2 * u3 - h * (u1 * v2 - u2 * v1),
-    )
-    return _result(EvenElement, coeffs, handedness, lhs, rhs)
+    signed = isinstance(h, np.ndarray)
+    block = np.empty((4,) + np.broadcast(s1, *u, s2, *v, h).shape)
+    scalar, *bivector = (block[k, ...] for k in range(4))
+    term = np.empty_like(scalar)
+    # Bivector k is (s1 v_k + s2 u_k) - h (u x v)_k, written into its row with the
+    # scalar row, written last, as a second scratch row.  A Handedness adds or
+    # subtracts the cross term, exactly what subtracting it times +-1.0 gives.
+    combine = np.subtract if signed or h > 0 else np.add
+    for k, row in enumerate(bivector):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        np.multiply(u[i], v[j], out=row)
+        np.multiply(u[j], v[i], out=term)
+        row -= term
+        if signed:
+            row *= h
+        np.multiply(s1, v[k], out=term)
+        np.multiply(s2, u[k], out=scalar)
+        term += scalar
+        combine(term, row, out=row)
+    np.multiply(u[0], v[0], out=scalar)
+    for k in (1, 2):
+        np.multiply(u[k], v[k], out=term)
+        scalar += term
+    np.multiply(s1, s2, out=term)
+    np.subtract(term, scalar, out=scalar)
+    return _result(EvenElement, block, handedness, lhs, rhs)
 
 
 def bivector_identity_residual(handedness, a, b):

@@ -43,8 +43,8 @@ One pass, :func:`_top_bits`, walks the stream in chunks of
 :data:`SIGN_CHUNK` draws through three preallocated uint64 buffers and one
 bool buffer (1.6 MB, small enough for a per-core L2 cache); two reductions
 read it.  It takes the chunk starts as an argument, so threads that share
-one iterator of them split a sum between them.  Each call builds its uint64
-operands once, as 0-d arrays, and full chunks use the whole buffers, so a
+one iterator of them split a sum between them.  The uint64 operands are
+0-d arrays built once, at import, and full chunks use the whole buffers, so a
 chunk's eight ufunc calls hold the GIL only briefly and passes on several
 threads overlap.  The last of them writes the draws' top bits, read as the
 sign bits of their float64 view, into the bool buffer.
@@ -128,17 +128,17 @@ def _key(seed: int, lane: int) -> int:
     return _mix64(seed ^ _mix64(lane * _GAMMA & _MASK64)) if lane else seed
 
 
-def _operands() -> tuple:
-    """The mixer's uint64 operands as 0-d arrays: gamma, the two multipliers and the shifts."""
-    return tuple(np.array(v, dtype=np.uint64) for v in (_GAMMA, _MIX_1, _MIX_2, 30, 27, 31))
+# The mixer's uint64 operands as 0-d arrays, built once: gamma, the two multipliers
+# and the shifts.  Nothing writes to them, so every call and thread shares them.
+_OPERANDS = tuple(np.array(v, dtype=np.uint64) for v in (_GAMMA, _MIX_1, _MIX_2, 30, 27, 31))
 
 
-def _mix(z: np.ndarray, t: np.ndarray, operands: tuple) -> None:
+def _mix(z: np.ndarray, t: np.ndarray) -> None:
     """Mixes the splitmix64 states ``z`` in place, all but the final ``z ^= z >> 31``.
 
     ``t`` is scratch of ``z``'s size.  This is the one array copy of the mixer.
     """
-    _, mix_1, mix_2, by_30, by_27, _ = operands
+    _, mix_1, mix_2, by_30, by_27, _ = _OPERANDS
     np.right_shift(z, by_30, out=t)
     np.bitwise_xor(z, t, out=z)
     np.multiply(z, mix_1, out=z)
@@ -159,20 +159,19 @@ def _top_bits(seed: int, firsts, end: int):
     that bit through the float64 view of every bit pattern, NaNs included.
     """
     key = _key(seed, 0)
-    operands = _operands()
     ramp = None
     for first in firsts:
         size = min(SIGN_CHUNK, end - first)
         if ramp is None:
             ramp = np.arange(size, dtype=np.uint64)
-            ramp *= operands[0]  # i * gamma; chunk draws are ramp + (key + (first + 1) * gamma)
+            ramp *= _OPERANDS[0]  # i * gamma; chunk draws are ramp + (key + (first + 1) * gamma)
             z, t, negative = np.empty_like(ramp), np.empty_like(ramp), np.empty(size, dtype=bool)
         rs, zs, ts, ns = (
             (ramp, z, t, negative) if size == ramp.size
             else (ramp[:size], z[:size], t[:size], negative[:size])
         )
         np.add(rs, np.array((key + (first + 1) * _GAMMA) & _MASK64, dtype=np.uint64), out=zs)
-        _mix(zs, ts, operands)
+        _mix(zs, ts)
         np.signbit(zs.view(np.float64), out=ns)
         yield first, ns
 
@@ -210,8 +209,7 @@ def stream_words(seed: int, lane: int, start: int, count: int) -> np.ndarray:
     be in [0, 2**64), ``start`` and ``count`` non-negative.
     """
     count, start = _checked(count, start)
-    operands = _operands()
-    gamma, by_31 = operands[0], operands[5]
+    gamma, by_31 = _OPERANDS[0], _OPERANDS[5]
     words = np.arange(count, dtype=np.uint64)
     words *= gamma
     words += np.uint64((_key(seed, lane) + (start + 1) * _GAMMA) & _MASK64)
@@ -219,7 +217,7 @@ def stream_words(seed: int, lane: int, start: int, count: int) -> np.ndarray:
     for first in range(0, count, SIGN_CHUNK):
         z = words[first : first + SIGN_CHUNK]
         t = scratch[: z.size]
-        _mix(z, t, operands)
+        _mix(z, t)
         np.right_shift(z, by_31, out=t)
         np.bitwise_xor(z, t, out=z)
     return words

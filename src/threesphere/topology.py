@@ -88,28 +88,32 @@ def is_equatorial(q: EvenElement, tol: float = 1e-12) -> bool:
     return is_unit_s3(q, tol) and abs(q.s) <= tol
 
 
-# Pairs one round of a disk draw reads at most: 2**13 words, 64 KiB.  The verify
-# topology suite at 10**4 samples took the same time with rounds of 2**12 to 2**14
-# pairs and of the whole draw, and 12% longer with rounds of 2**11 (2-vCPU host).
+# Pairs one round of a disk draw reads at most: 2**13 words, 64 KiB, and the
+# round's inside points are staged in at most as much again.  Rounds of 2**11 to
+# 2**14 pairs and of the whole draw took about the same time in the verify topology
+# suite at 10**4 samples (BENCH_lanes.json, BENCH_in_place_even.json).
 _DISK_ROUND = 1 << 12
 
 # The lane of its seed that factorize_s3_point draws its factors from.
 _FACTOR_LANE = 1
 
 
-def _disk_points(seed: int, lane: int, columns: list) -> None:
-    """Fills the ``(x, y)`` column pairs in ``columns`` with ``lane``'s points inside the unit disk.
+def _disk_points(seed: int, lane: int, planes: np.ndarray) -> None:
+    """Fills the ``(x, y)`` row pairs of ``planes`` with ``lane``'s points inside the unit disk.
 
     Pair ``j`` of the lane, its words ``2j`` and ``2j + 1`` taken as ``2u - 1``,
     is a point of the square (-1, 1)^2; about pi/4 of them fall inside the
-    open disk.  With ``h`` column pairs of ``n`` rows, the ``k``-th point inside
-    goes to row ``k // h`` of pair ``k % h``, for the first ``h * n`` points.
-    Each round reads a third more pairs than points are missing, plus 16, and
-    at most :data:`_DISK_ROUND`.  The draw is bounded: past ``2hn + 64`` pairs,
-    where fewer than half of them fell inside, it raises ``ArithmeticError``.
+    open disk.  ``planes`` is ``(2h, n)``: ``h`` pairs of rows ``(x, y)`` of ``n``
+    points each.  The ``k``-th point inside goes to column ``k // h`` of pair ``k
+    % h``, for the first ``h * n`` points.  Each round reads a third more pairs
+    than points are missing, plus 16, and at most :data:`_DISK_ROUND`; one row
+    gather of the round's ``(size, 2)`` view takes its inside points in draw
+    order, and every ``h``-th of them, from the first one pair ``j`` is owed,
+    goes to pair ``j``.  The draw is bounded: past ``2hn + 64`` pairs, where
+    fewer than half of them fell inside, it raises ``ArithmeticError``.
     """
-    ways = len(columns)
-    count = ways * len(columns[0][0])
+    ways = len(planes) // 2
+    count = planes.size // 2
     kept = first = 0
     while kept < count:
         if first >= 2 * count + 64:
@@ -119,14 +123,13 @@ def _disk_points(seed: int, lane: int, columns: list) -> None:
         xy = stream_uniform(seed, lane, 2 * first, 2 * size)
         xy *= 2.0
         xy -= 1.0
-        x, y = xy[0::2], xy[1::2]
-        inside = np.flatnonzero(_squared_radii(x, y) < 1.0)[: count - kept]
-        for way, (xs, ys) in enumerate(columns):
+        inside = np.flatnonzero(_squared_radii(xy[0::2], xy[1::2]) < 1.0)[: count - kept]
+        points = np.take(xy.reshape(size, 2), inside, axis=0)
+        for way in range(ways):
             skip = (way - kept) % ways
-            picks = inside[skip::ways]
-            row = (kept + skip) // ways
-            np.take(x, picks, out=xs[row : row + picks.size])
-            np.take(y, picks, out=ys[row : row + picks.size])
+            dealt = points[skip::ways]
+            column = (kept + skip) // ways
+            planes[2 * way : 2 * way + 2, column : column + len(dealt)] = dealt.T
         kept += inside.size
         first += size
 
@@ -152,7 +155,7 @@ def _random_unit_rows(seed: int, lane: int, width: int, count: int) -> np.ndarra
     block = np.empty((width, count))
     if width == 3:
         x, y, z = block
-        _disk_points(seed, lane, [(x, y)])
+        _disk_points(seed, lane, block[:2])
         s = _squared_radii(x, y)
         np.multiply(s, -2.0, out=z)
         z += 1.0
@@ -163,7 +166,7 @@ def _random_unit_rows(seed: int, lane: int, width: int, count: int) -> np.ndarra
         y *= s
         return block.T
     x1, y1, x2, y2 = block
-    _disk_points(seed, lane, [(x1, y1), (x2, y2)])
+    _disk_points(seed, lane, block)
     scale = np.subtract(1.0, _squared_radii(x1, y1))
     scale /= _squared_radii(x2, y2)
     np.sqrt(scale, out=scale)
@@ -180,8 +183,9 @@ def factorize_s3_point(target, count, seed: int):
     :func:`_random_unit_rows`, so a fixed seed gives fixed factors); the last
     factor is the inverse of their ordered product times the target.  Every
     factor is unit and the ordered product reproduces the target up to
-    rounding.  An :class:`EvenElement` target gives a list
-    of factors; ``(N, 4)`` target rows give ``(N, count, 4)`` factor rows.
+    rounding.  An :class:`EvenElement` target gives a list of factors;
+    ``(N, 4)`` target rows give ``(N, count, 4)`` factor rows, and targets of
+    any other shape raise ``ValueError``.
 
     For rows, ``count`` may also be an ``(N,)`` integer array of per-row
     counts.  The result is then ``(N, max(count), 4)``: one draw of
@@ -192,7 +196,7 @@ def factorize_s3_point(target, count, seed: int):
     the same factors as the int count.  Factor rows are the ``(N, slots, 4)``
     view of a coefficient-major ``(4, slots, N)`` block, so each slot the
     products read has contiguous columns; the draws still fill the rows in C
-    order.
+    order, put into each coefficient plane by flat index.
     """
     counts = np.asarray(count)
     if counts.dtype.kind not in "iu":
@@ -203,24 +207,40 @@ def factorize_s3_point(target, count, seed: int):
         rows = factorize_s3_point(np.array([target.coeffs]), count, seed)[0]
         return [EvenElement(*row) for row in rows]
     targets = np.asarray(target, dtype=float)
+    if targets.ndim != 2 or targets.shape[1] != 4:
+        raise ValueError(f"target rows must have shape (N, 4), got {targets.shape}")
     if not np.all(np.abs(np.sum(targets * targets, axis=-1) - 1.0) <= 1e-9):
         raise ValueError("target must lie on the unit 3-sphere (within 1e-9)")
     if counts.ndim and counts.shape != targets.shape[:1]:
         raise ValueError(f"need one factor count per target row, got shape {counts.shape}")
+    n = len(targets)
     width = int(counts.max(initial=1)) - 1
-    counts = np.broadcast_to(counts, targets.shape[:1])
-    store = np.zeros((4, width + 1, len(targets)))
+    counts = np.broadcast_to(counts.astype(np.intp), (n,))
+    store = np.zeros((4, width + 1, n))
     store[0] = 1.0
     factors = store.transpose()
     if width == 0:
         factors[:, 0] = targets
         return factors
-    drawn = np.arange(width + 1) < counts[:, None] - 1
-    factors[drawn] = _random_unit_rows(seed, _FACTOR_LANE, 4, int(np.count_nonzero(drawn)))
+    # Slot i of row r is element i * n + r of each coefficient plane.  Draw j,
+    # the i-th of row r's draws = counts[r] - 1, so j = firsts[r] + i, goes to
+    # element j * n + (r - firsts[r] * n).
+    planes = store.reshape(4, -1)
+    draws = counts - 1
+    firsts = np.cumsum(draws)
+    firsts -= draws
+    at = np.arange(draws.sum())
+    at *= n
+    at += np.repeat(np.arange(n) - firsts * n, draws)
+    for plane, column in zip(planes, _random_unit_rows(seed, _FACTOR_LANE, 4, at.size).T):
+        plane[at] = column
     prefix = functools.reduce(even_product, factors[:, :width].swapaxes(0, 1))
     last = even_product(prefix * np.array([1.0, -1.0, -1.0, -1.0]), targets)
     last /= np.linalg.norm(last, axis=1, keepdims=True)
-    factors[np.arange(len(targets)), counts - 1] = last
+    at = draws * n
+    at += np.arange(n)
+    for plane, column in zip(planes, last.T):
+        plane[at] = column
     return factors
 
 

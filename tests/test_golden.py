@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,3 +34,41 @@ def test_golden_output_is_byte_identical(shape, tmp_path):
     assert sorted(produced) == sorted(stored)
     for name, content in stored.items():
         assert produced[name] == content, f"{shape}/{name} differs from the corpus"
+
+
+# Runs every shape in one interpreter and prints the dispatch targets it saw and the
+# files that differ from the corpus, as JSON.
+_BASELINE_RUN = """
+import importlib.util, json, sys, tempfile
+from pathlib import Path
+spec = importlib.util.spec_from_file_location("golden_regen", sys.argv[1])
+regen = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(regen)
+differs = []
+for shape, argv in regen.SHAPES.items():
+    with tempfile.TemporaryDirectory() as scratch:
+        produced = regen.run(argv, Path(scratch))
+    stored = {path.name: path.read_bytes() for path in (regen.CORPUS / shape).iterdir()}
+    differs += [f"{shape}/{name}" for name in sorted(produced.keys() | stored.keys())
+                if produced.get(name) != stored.get(name)]
+print(json.dumps({"cpu_dispatch": regen.environment()["cpu_dispatch"], "differs": differs}))
+"""
+
+
+def test_golden_output_does_not_depend_on_simd_dispatch():
+    """Every shape gives the corpus bytes with numpy held to its baseline: each dispatch
+    target the corpus ran with is disabled through ``NPY_DISABLE_CPU_FEATURES``."""
+    recorded = json.loads(regen.ENVIRONMENT.read_text())
+    now = regen.environment()
+    if any(recorded.get(key) != now[key] for key in ("numpy", "cpus_up_to_2")):
+        pytest.skip("the corpus was made under another numpy version or CPU count")
+    if not now["cpu_dispatch"]:
+        pytest.skip("numpy dispatches to no target beyond its baseline on this CPU")
+    source = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(now["cpu_dispatch"]),
+               PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _BASELINE_RUN, str(GOLDEN / "regen.py")], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report == {"cpu_dispatch": [], "differs": []}

@@ -6,6 +6,7 @@ be able to fail when the code it checks is wrong, and the block size must
 keep memory flat in the sample count.
 """
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -247,6 +248,78 @@ def test_even_products_match_the_dataclass_form(rng, handed):
     p, q = EvenElement(*lhs[0]), EvenElement(*rhs[0])
     assert oriented_even_product(handed, p, q).coeffs == tuple(oriented[0])
     assert even_product(p, q).coeffs == tuple(canonical[0])
+
+
+def column_formula(h, lhs, rhs):
+    """The even product as one numpy expression per coefficient, the earlier kernel's formula.
+
+    ``h`` is a float orientation or an array of row signs; rows come back C-ordered.
+    """
+    s1, u1, u2, u3 = np.moveaxis(np.asarray(lhs, dtype=float), -1, 0)
+    s2, v1, v2, v3 = np.moveaxis(np.asarray(rhs, dtype=float), -1, 0)
+    coeffs = (
+        s1 * s2 - (u1 * v1 + u2 * v2 + u3 * v3),
+        s1 * v1 + s2 * u1 - h * (u2 * v3 - u3 * v2),
+        s1 * v2 + s2 * u2 - h * (u3 * v1 - u1 * v3),
+        s1 * v3 + s2 * u3 - h * (u1 * v2 - u2 * v1),
+    )
+    return np.stack(np.broadcast_arrays(*coeffs), axis=-1)
+
+
+def orientation(rng, kind, rows):
+    """The kernel's orientation argument and the formula's ``h`` for it."""
+    if kind == "row signs":
+        signs = 1.0 - 2.0 * rng.integers(2, size=rows)
+        return signs, signs
+    handedness = RIGHT_HANDED if kind == "right" else LEFT_HANDED
+    return handedness, float(handedness.sign)
+
+
+EVEN_SHAPES = {"NxN": ((ROWS, 4), (ROWS, 4)), "1xN": ((4,), (ROWS, 4)), "Nx1": ((ROWS, 4), (4,))}
+
+
+@pytest.mark.parametrize("kind", ["right", "left", "row signs"])
+@pytest.mark.parametrize("shapes", EVEN_SHAPES.values(), ids=EVEN_SHAPES)
+def test_even_products_equal_the_column_formula_bit_for_bit(rng, kind, shapes):
+    for scale in (1e-8, 1.0, 1e8):
+        lhs, rhs = (scale * rng.standard_normal(shape) for shape in shapes)
+        handedness, h = orientation(rng, kind, ROWS)
+        rows, expected = oriented_even_product(handedness, lhs, rhs), column_formula(h, lhs, rhs)
+        assert rows.shape == expected.shape
+        assert rows.tobytes() == expected.tobytes()
+        assert even_product(lhs, rhs).tobytes() == column_formula(1.0, lhs, rhs).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["right", "left", "row signs"])
+def test_even_products_keep_the_signed_zeros_of_the_column_formula(rng, kind):
+    # Every ordered pair of the signed even blades: most terms are 0.0 or -0.0.
+    blades = np.concatenate([np.eye(4), -np.eye(4)])
+    i, j = np.indices((8, 8)).reshape(2, -1)
+    handedness, h = orientation(rng, kind, 64)
+    rows = oriented_even_product(handedness, blades[i], blades[j])
+    assert rows.tobytes() == column_formula(h, blades[i], blades[j]).tobytes()
+
+
+@pytest.mark.parametrize("handedness", [RIGHT_HANDED, LEFT_HANDED], ids=["right", "left"])
+def test_even_element_products_equal_the_column_formula_bit_for_bit(rng, handedness):
+    pairs = [*rng.standard_normal((8, 2, 4)), np.array([[0.0, -1.0, 0.0, 2.0], [-0.0, 0.0, 3.0, 0.0]])]
+    for lhs, rhs in pairs:
+        one = oriented_even_product(handedness, EvenElement(*lhs), EvenElement(*rhs))
+        assert isinstance(one, EvenElement)
+        expected = column_formula(float(handedness.sign), lhs, rhs)
+        assert np.array(one.coeffs).tobytes() == expected.tobytes()
+
+
+def test_products_of_factor_slots_equal_the_column_formula_bit_for_bit(rng):
+    """The factor store's slots are strided ``(N, 4)`` views; their products and the ordered
+    product over every slot match the formula on the same views."""
+    factors = factorize_s3_point(unit_rows(rng, (ROWS,), 4), 1 + np.arange(ROWS) % 8, seed=11)
+    slots = list(factors.swapaxes(0, 1))
+    for lhs, rhs in zip(slots, slots[1:]):
+        assert even_product(lhs, rhs).tobytes() == column_formula(1.0, lhs, rhs).tobytes()
+    product = functools.reduce(even_product, slots)
+    expected = functools.reduce(functools.partial(column_formula, 1.0), slots)
+    assert product.tobytes() == expected.tobytes()
 
 
 def test_mixed_row_signs_pick_each_row_orientation(rng):
@@ -585,6 +658,10 @@ def test_batched_inputs_are_validated():
         factorize_s3_point(np.array([[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]]), 3, seed=0)
     with pytest.raises(ValueError):
         stereographic_project(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+    # Targets are (N, 4) rows; a lone row, a third axis or three-wide rows are refused.
+    for target in ([1.0, 0.0, 0.0, 0.0], [[[1.0, 0.0, 0.0, 0.0]]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]):
+        with pytest.raises(ValueError, match=r"shape \(N, 4\), got \("):
+            factorize_s3_point(np.array(target), 1, seed=0)
 
 
 # ---------------------------------------------------------------------------
