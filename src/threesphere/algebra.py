@@ -25,12 +25,12 @@ the full products read their signs from a signed ``(8, 8, 8)`` Cayley
 tensor and gather one blade per term, the even ones write the four rows
 of one column formula in place into their result block.  A dataclass
 argument, a :class:`Handedness` for the signs, is one row: dataclasses
-alone return a dataclass, and among arrays each is broadcast as its row.  Array results follow one layout rule: rows are a
-``(..., k)`` view of one coefficient-major ``(k, ...)`` block, so each
-column a chained kernel reads is contiguous.  Products are only
-:func:`geometric_product`, :func:`wedge` and :func:`even_product`: a
-:class:`Multivector` supports ``+`` and scaling; :class:`EvenElement`
-supports negation.
+alone return a dataclass, and among arrays each is broadcast as its row.
+Array results follow one layout rule: rows are a ``(..., k)`` view of one
+coefficient-major ``(k, ...)`` block, so each column a chained kernel
+reads is contiguous.  Products are only :func:`geometric_product`,
+:func:`wedge` and :func:`even_product`: a :class:`Multivector` supports
+``+`` and scaling; :class:`EvenElement` supports negation.
 """
 
 from __future__ import annotations

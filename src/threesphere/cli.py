@@ -57,9 +57,9 @@ MAX_TRIALS = 10**11
 # Most rows one scan may produce; every row is held in memory before writing.
 MAX_SCAN_ROWS = 100_000
 
-# Largest verify --samples; about 30 seconds at the 2.7-3.4 us per sample
-# measured at 10**6 samples with the suites in one thread (2-vCPU x86-64 host,
-# numpy 2.4).  The six bilinear algebra checks sample only their first block.
+# Largest verify --samples: a run of under half a minute in one thread, at the
+# cost per sample measured at 10**6 samples (BENCH_in_place_even.json).  The six
+# bilinear algebra checks sample only their first block.
 MAX_SAMPLES = 10**7
 
 # Largest --seed: the orientation stream reads the seed as one uint64.

@@ -44,9 +44,9 @@ One pass, :func:`_top_bits`, walks the stream in chunks of
 bool buffer (1.6 MB, small enough for a per-core L2 cache); two reductions
 read it.  It takes the chunk starts as an argument, so threads that share
 one iterator of them split a sum between them.  The uint64 operands are
-0-d arrays built once, at import, and full chunks use the whole buffers, so a
-chunk's eight ufunc calls hold the GIL only briefly and passes on several
-threads overlap.  The last of them writes the draws' top bits, read as the
+0-d arrays built once, at import, and full chunks use the whole buffers,
+so a chunk's eight ufunc calls hold the GIL only briefly and passes on
+several threads overlap.  The last of them writes the draws' top bits, read as the
 sign bits of their float64 view, into the bool buffer.
 :func:`handedness_signs` maps those to an int64 array of signs at 8 bytes
 per sign plus the buffers; :func:`handedness_sign_sum`, the estimators'

@@ -88,10 +88,10 @@ def is_equatorial(q: EvenElement, tol: float = 1e-12) -> bool:
     return is_unit_s3(q, tol) and abs(q.s) <= tol
 
 
-# Pairs one round of a disk draw reads at most: 2**13 words, 64 KiB, and the
-# round's inside points are staged in at most as much again.  Rounds of 2**11 to
-# 2**14 pairs and of the whole draw took about the same time in the verify topology
-# suite at 10**4 samples (BENCH_lanes.json, BENCH_in_place_even.json).
+# Pairs one round of a disk draw reads at most: 2**13 words, 64 KiB, and its
+# inside points are staged in at most as much again.  The verify topology suite at
+# 10**4 samples took the same time with rounds of 2**12 to 2**14 pairs and of the
+# whole draw, and about a tenth longer with rounds of 2**11 (BENCH_in_place_even.json).
 _DISK_ROUND = 1 << 12
 
 # The lane of its seed that factorize_s3_point draws its factors from.
@@ -222,9 +222,10 @@ def factorize_s3_point(target, count, seed: int):
     if width == 0:
         factors[:, 0] = targets
         return factors
-    # Slot i of row r is element i * n + r of each coefficient plane.  Draw j,
-    # the i-th of row r's draws = counts[r] - 1, so j = firsts[r] + i, goes to
-    # element j * n + (r - firsts[r] * n).
+    # Slot i of row r is element i * n + r of each coefficient plane.  Row r
+    # takes draws[r] = counts[r] - 1 draws from draw firsts[r] on, so draw
+    # j = firsts[r] + i goes to element j * n + (r - firsts[r] * n), and its
+    # last factor, in slot draws[r], to element draws[r] * n + r.
     planes = store.reshape(4, -1)
     draws = counts - 1
     firsts = np.cumsum(draws)

@@ -302,7 +302,8 @@ def test_even_products_keep_the_signed_zeros_of_the_column_formula(rng, kind):
 
 @pytest.mark.parametrize("handedness", [RIGHT_HANDED, LEFT_HANDED], ids=["right", "left"])
 def test_even_element_products_equal_the_column_formula_bit_for_bit(rng, handedness):
-    pairs = [*rng.standard_normal((8, 2, 4)), np.array([[0.0, -1.0, 0.0, 2.0], [-0.0, 0.0, 3.0, 0.0]])]
+    with_zeros = np.array([[0.0, -1.0, 0.0, 2.0], [-0.0, 0.0, 3.0, 0.0]])
+    pairs = [*rng.standard_normal((8, 2, 4)), with_zeros]
     for lhs, rhs in pairs:
         one = oriented_even_product(handedness, EvenElement(*lhs), EvenElement(*rhs))
         assert isinstance(one, EvenElement)
@@ -659,7 +660,8 @@ def test_batched_inputs_are_validated():
     with pytest.raises(ValueError):
         stereographic_project(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
     # Targets are (N, 4) rows; a lone row, a third axis or three-wide rows are refused.
-    for target in ([1.0, 0.0, 0.0, 0.0], [[[1.0, 0.0, 0.0, 0.0]]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]):
+    one = [1.0, 0.0, 0.0, 0.0]
+    for target in (one, [[one]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]):
         with pytest.raises(ValueError, match=r"shape \(N, 4\), got \("):
             factorize_s3_point(np.array(target), 1, seed=0)
 
