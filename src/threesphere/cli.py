@@ -48,10 +48,10 @@ from .suites import SUITES
 from .tables import write_manifest, write_table
 
 
-# Largest accepted --n.  The sign sum streams about 4.0e8 signs/s per thread
-# (3.1e8-4.4e8 on a 2-vCPU x86-64 host, numpy 2.4), so 10**11 trials take
-# about 4 minutes on one thread; on more threads, each claims 2**16-trial
-# chunks until none are left.  Memory stays flat at any --n.
+# Largest accepted --n.  At the one-thread sign sum's rate, about 4e8 signs/s
+# (BENCH_claimed_chunks.json, notes), 10**11 trials take about 4 minutes; on more
+# threads, each claims 2**16-trial chunks until none are left.  Memory stays flat
+# at any --n.
 MAX_TRIALS = 10**11
 
 # Most rows one scan may produce; every row is held in memory before writing.

@@ -202,10 +202,10 @@ def chsh_value(settings: ChshSettings, correlation) -> float:
     return _chsh(_chsh_terms(settings, correlation))
 
 
-# Finest supported grid.  With the analytic correlation on a 2-vCPU x86-64
-# host (numpy 2.4), the shift search took 0.03-0.06 s at m = 1024 grid points
-# and 0.7-1.25 s at m = 4096, with a tracemalloc peak of 403 MB: the matrix
-# and its two (m, m) buffers.
+# Finest supported grid.  With the analytic correlation, the shift search at
+# m = 4096 grid points takes about a second and peaks at about 400 MB of
+# tracemalloc, the matrix and its two (m, m) buffers (BENCH_chsh_search.json,
+# layer.change_other_sizes).
 _MAX_GRID = 4096
 
 # Finest grid the exhaustive O(m**3) scan accepts.  On the same host it took

@@ -33,26 +33,29 @@ the orientation stream bit for bit, and ``mix(seed ^ mix(k * gamma))`` for
 lane ``k > 0``, where ``mix`` is splitmix64's output mixer.  There are three
 views: :func:`stream_words`, the words as uint64; :func:`stream_uniform`,
 ``((w >> 12) + 0.5) * 2**-52``, strictly inside (0, 1); and the top bit,
-which :func:`handedness_signs` and :func:`handedness_sign_sum` read through
-:func:`_top_bits`.  Lane 0 of a run's seed gives the trials' orientations
-and the protocol suite's; ``factorize_s3_point`` draws from lane 1 of its
-own seed; the identity suites draw from lanes 1 and up of the ``verify``
-seed, as ``suites`` lists.  No module uses numpy's own generators.
+which :func:`handedness_signs` and :func:`handedness_sign_sum` read.  Lane 0
+of a run's seed gives the trials' orientations and the protocol suite's;
+``factorize_s3_point`` draws from lane 1 of its own seed; the identity suites
+draw from lanes 1 and up of the ``verify`` seed, as ``suites`` lists.  No
+module uses numpy's own generators.
 
-One pass, :func:`_top_bits`, walks the stream in chunks of
-:data:`SIGN_CHUNK` draws through three preallocated uint64 buffers and one
-bool buffer (1.6 MB, small enough for a per-core L2 cache); two reductions
-read it.  It takes the chunk starts as an argument, so threads that share
-one iterator of them split a sum between them.  The uint64 operands are
-0-d arrays built once, at import, and full chunks use the whole buffers,
-so a chunk's eight ufunc calls hold the GIL only briefly and passes on
-several threads overlap.  The last of them writes the draws' top bits, read as the
-sign bits of their float64 view, into the bool buffer.
-:func:`handedness_signs` maps those to an int64 array of signs at 8 bytes
-per sign plus the buffers; :func:`handedness_sign_sum`, the estimators'
-kernel, counts them in constant memory.  Buffers are sized to the first
-chunk a call takes, so calls shorter than a chunk get short ones.
-Positions ``start`` must be non-negative and are taken modulo the
+One kernel, :func:`_states`, computes all three views.  It writes into a
+uint64 chunk of at most :data:`SIGN_CHUNK` words the splitmix64 states of
+consecutive words of a key: the whole mixer but its final ``z ^= z >> 31``,
+which leaves the top bit unchanged.  It adds the chunk's offset to a
+read-only ``i * gamma`` ramp of ``SIGN_CHUNK`` words (512 KB, shared by every
+call and thread) and mixes in place through one scratch chunk.  The ramp
+and the uint64 operands, 0-d arrays, are built once at import, so a chunk's
+seven ufunc calls hold the GIL only briefly and passes on several threads
+overlap.  :func:`stream_words` runs it a chunk at a time into slices of its
+result, at 8 bytes per word plus one scratch chunk, and ends each chunk's
+mixer; :func:`handedness_signs` maps lane 0's words to int64 signs in their
+own buffer, at the same cost.  :func:`handedness_sign_sum`, the estimators'
+kernel, counts the states' top bits, read as the sign bits of their float64
+view, in constant memory: two uint64 chunks and one bool chunk per thread
+(1.1 MB, small enough for a per-core L2 cache).  Chunks are sized to the
+first chunk a call or thread takes, so calls shorter than a chunk get short
+ones.  Positions ``start`` must be non-negative and are taken modulo the
 counter's period 2**64.
 
 The sum is the one place threads share the stream.  Given ``threads``,
@@ -132,48 +135,29 @@ def _key(seed: int, lane: int) -> int:
 # and the shifts.  Nothing writes to them, so every call and thread shares them.
 _OPERANDS = tuple(np.array(v, dtype=np.uint64) for v in (_GAMMA, _MIX_1, _MIX_2, 30, 27, 31))
 
+# i * gamma for i < SIGN_CHUNK, built once and read-only: word first + i of a key
+# counts from the state key + (first + 1 + i) * gamma, one offset added to the ramp.
+_RAMP = np.arange(SIGN_CHUNK, dtype=np.uint64)
+_RAMP *= _OPERANDS[0]
+_RAMP.flags.writeable = False
 
-def _mix(z: np.ndarray, t: np.ndarray) -> None:
-    """Mixes the splitmix64 states ``z`` in place, all but the final ``z ^= z >> 31``.
 
-    ``t`` is scratch of ``z``'s size.  This is the one array copy of the mixer.
+def _states(key: int, first: int, z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Writes into ``z`` the splitmix64 states of words ``first ..`` from ``key``; returns ``z``.
+
+    A state is the whole mixer but its final ``z ^= z >> 31``, which leaves the top
+    bit unchanged.  ``z`` holds at most ``SIGN_CHUNK`` words and ``t`` is scratch of
+    its size.  This is the one array copy of the mixer.
     """
     _, mix_1, mix_2, by_30, by_27, _ = _OPERANDS
+    np.add(_RAMP[: z.size], np.uint64((key + (first + 1) * _GAMMA) & _MASK64), out=z)
     np.right_shift(z, by_30, out=t)
     np.bitwise_xor(z, t, out=z)
     np.multiply(z, mix_1, out=z)
     np.right_shift(z, by_27, out=t)
     np.bitwise_xor(z, t, out=z)
     np.multiply(z, mix_2, out=z)
-
-
-def _top_bits(seed: int, firsts, end: int):
-    """Sign bits of the lane-0 draws for ``seed``, one chunk per start taken from ``firsts``.
-
-    ``firsts`` is an iterable of chunk starts in increasing order, ``SIGN_CHUNK`` apart,
-    and the chunk at ``first`` covers draws ``first .. min(first + SIGN_CHUNK, end) - 1``.
-    Yields each chunk's start and a bool view, True where the draw is negative,
-    overwritten by the next chunk.  The first start taken sizes the buffers,
-    so a short contiguous range gets short ones.  The mixer's final
-    ``z ^= z >> 31`` keeps the top bit and is skipped; ``np.signbit`` reads
-    that bit through the float64 view of every bit pattern, NaNs included.
-    """
-    key = _key(seed, 0)
-    ramp = None
-    for first in firsts:
-        size = min(SIGN_CHUNK, end - first)
-        if ramp is None:
-            ramp = np.arange(size, dtype=np.uint64)
-            ramp *= _OPERANDS[0]  # i * gamma; chunk draws are ramp + (key + (first + 1) * gamma)
-            z, t, negative = np.empty_like(ramp), np.empty_like(ramp), np.empty(size, dtype=bool)
-        rs, zs, ts, ns = (
-            (ramp, z, t, negative) if size == ramp.size
-            else (ramp[:size], z[:size], t[:size], negative[:size])
-        )
-        np.add(rs, np.array((key + (first + 1) * _GAMMA) & _MASK64, dtype=np.uint64), out=zs)
-        _mix(zs, ts)
-        np.signbit(zs.view(np.float64), out=ns)
-        yield first, ns
+    return z
 
 
 def _checked(count, start) -> tuple:
@@ -188,13 +172,12 @@ def handedness_signs(seed: int, count: int, start: int = 0) -> np.ndarray:
     """Orientation signs ``start .. start+count-1`` of the stream for ``seed``.
 
     Returns int64 +1/-1 values; element ``i`` depends only on ``(seed, start+i)``.
+    They are ``1 - 2 * (w >> 63)`` of the lane-0 words ``w`` of :func:`stream_words`,
+    computed in the words' own buffer as an arithmetic shift to 0 or -1, then ``| 1``.
     """
-    count, start = _checked(count, start)
-    signs = np.empty(count, dtype=np.int64)
-    for first, negative in _top_bits(seed, range(start, start + count, SIGN_CHUNK), start + count):
-        flags = negative.view(np.int8)
-        np.multiply(flags, -2, out=flags)  # 0 or -2, in the chunk's own buffer
-        np.add(flags, 1, out=signs[first - start : first - start + flags.size])
+    signs = stream_words(seed, 0, start, count).view(np.int64)
+    signs >>= 63
+    signs |= 1
     return signs
 
 
@@ -204,20 +187,19 @@ def stream_words(seed: int, lane: int, start: int, count: int) -> np.ndarray:
     Element ``i`` depends only on ``(seed, lane, start+i)``: it is splitmix64's
     output at position ``start+i`` from the lane's key, the seed itself for lane 0
     and ``mix(seed ^ mix(lane * gamma))`` above.  Lane 0 is the orientation
-    stream; its words' top bits are :func:`handedness_signs`.  The words are
-    mixed in place, a chunk at a time through one scratch chunk.  ``lane`` must
-    be in [0, 2**64), ``start`` and ``count`` non-negative.
+    stream; its words' top bits are :func:`handedness_signs`.  :func:`_states`
+    writes the words a chunk at a time into slices of the result, through one
+    scratch chunk.  ``lane`` must be in [0, 2**64), ``start`` and ``count``
+    non-negative.
     """
     count, start = _checked(count, start)
-    gamma, by_31 = _OPERANDS[0], _OPERANDS[5]
-    words = np.arange(count, dtype=np.uint64)
-    words *= gamma
-    words += np.uint64((_key(seed, lane) + (start + 1) * _GAMMA) & _MASK64)
+    key, by_31 = _key(seed, lane), _OPERANDS[5]
+    words = np.empty(count, dtype=np.uint64)
     scratch = np.empty(min(count, SIGN_CHUNK), dtype=np.uint64)
     for first in range(0, count, SIGN_CHUNK):
         z = words[first : first + SIGN_CHUNK]
         t = scratch[: z.size]
-        _mix(z, t)
+        _states(key, start + first, z, t)
         np.right_shift(z, by_31, out=t)
         np.bitwise_xor(z, t, out=z)
     return words
@@ -276,12 +258,20 @@ def handedness_sign_sum(seed: int, count: int, start: int = 0, threads: int = 1)
     """
     count, start = _checked(count, start)
     workers = stream_summary(count, threads)["shards"] - 1
-    end = start + count
+    key, end = _key(seed, 0), start + count
     firsts = iter(range(start, end, SIGN_CHUNK))
 
     def negatives() -> int:
+        total, z = 0, None
         try:
-            return sum(np.count_nonzero(negative) for _, negative in _top_bits(seed, firsts, end))
+            for first in firsts:
+                size = min(SIGN_CHUNK, end - first)
+                if z is None:  # sized to the thread's first chunk, which no later one exceeds
+                    z, t, negative = (np.empty(size, dtype) for dtype in (np.uint64, np.uint64, bool))
+                states = _states(key, first, z[:size], t[:size])
+                # np.signbit reads the top bit of every bit pattern's float64 view, NaNs included.
+                total += np.count_nonzero(np.signbit(states.view(np.float64), out=negative[:size]))
+            return total
         except BaseException:
             deque(firsts, maxlen=0)
             raise

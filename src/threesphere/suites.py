@@ -71,15 +71,13 @@ from .topology import (
 
 __all__ = ["BLOCK", "PropertyCheck", "algebra_suite", "topology_suite", "protocol_suite", "SUITES"]
 
-# Instances per kernel call.  At 10**4 samples, blocks of 2**11 rows instead
-# of 2**10 halve the kernel calls and raise each suite's tracemalloc peak from
-# at most 0.6 to about 1.2 MB; the benchmark's verify-suites peak resident
-# memory rose 0.7 MB.  Blocks of 10**4 rows peaked 4.7 MB higher in resident
-# memory than blocks of 2**10.  Blocks of 2**12 rows, with the suites on
-# two threads, peak at 1.9 (algebra), 2.5 (topology) and 0.7 (protocol) MB
-# of tracemalloc at 10**4 samples; the benchmark's verify-suites peak
-# resident memory rose 2.5 MB, from 61.3 MB.  Drawing only the factors used
-# brought the topology peak to 2.1 MB.
+# Instances per kernel call.  Each doubling halves the kernel calls and raises
+# the suites' memory: at 10**4 samples, blocks of 2**11 rows instead of 2**10
+# about doubled each suite's tracemalloc peak (BENCH_verify_suites.json), and
+# blocks of 2**12 rows, with the suites on two threads, raised the benchmark's
+# verify-suites peak resident memory by 2.5 MB (BENCH_verify_threads.json).
+# Drawing only the factors used lowered the topology peak (BENCH_verify_exact.json).
+# Blocks of 10**4 rows peaked 4.7 MB higher in resident memory than blocks of 2**10.
 BLOCK = 1 << 12
 
 # Lanes of the suite seed.  Lane 0 is the orientation stream, which the protocol

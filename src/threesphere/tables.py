@@ -97,16 +97,14 @@ def _convert(name: str, text: str):
 
 def read_table(path) -> list:
     """Read back a table written by :func:`write_table`, values restored exactly."""
-    path = Path(path)
-    text = path.read_text()
-    if text.lstrip().startswith("{"):
-        document = json.loads(text)
-        return [dict(row) for row in document["rows"]]
-    rows = []
     with open(path, newline="") as handle:
-        for row in csv.DictReader(handle):
-            rows.append({name: _convert(name, value) for name, value in row.items()})
-    return rows
+        text = handle.read()
+    if text.lstrip().startswith("{"):
+        return [dict(row) for row in json.loads(text)["rows"]]
+    return [
+        {name: _convert(name, value) for name, value in row.items()}
+        for row in csv.DictReader(io.StringIO(text, newline=""))
+    ]
 
 
 def manifest_path(data_path) -> Path:

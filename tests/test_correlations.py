@@ -259,29 +259,32 @@ def test_a_huge_thread_request_is_capped_at_the_cpu_count(monkeypatch):
 
 
 def _thread_hook(monkeypatch, before_claims):
-    """Patch the stream pass the sharded sum calls in each thread.
+    """Patch the chunk kernel the sharded sum calls in each thread.
 
-    ``before_claims(in_caller)`` runs in each summing thread before its first claim and
-    returns a function called on each chunk it sums, with the chunk start.
+    ``before_claims(in_caller)`` runs in each summing thread at the first chunk it
+    claims, before that chunk is mixed, and returns a function called on each chunk
+    it sums, with the chunk start.
     """
     caller = threading.current_thread()
-    top_bits = protocol._top_bits
+    states = protocol._states
+    on_chunk = {}
 
-    def hooked(seed, firsts, end):
-        on_chunk = before_claims(threading.current_thread() is caller)
-        for first, negative in top_bits(seed, firsts, end):
-            on_chunk(first)
-            yield first, negative
+    def hooked(key, first, z, t):
+        thread = threading.current_thread()
+        if thread not in on_chunk:
+            on_chunk[thread] = before_claims(thread is caller)
+        on_chunk[thread](first)
+        return states(key, first, z, t)
 
-    monkeypatch.setattr(protocol, "_top_bits", hooked)
+    monkeypatch.setattr(protocol, "_states", hooked)
 
 
 @pytest.mark.parametrize("where", ["caller", "worker"])
 def test_a_raising_shard_ends_the_sum_and_leaves_no_thread(monkeypatch, where):
     """Whichever thread's claimed chunk raises, the caller's or a pool thread's, the error
     comes out of the sum and the pool is joined first.  The broken thread drains the shared
-    range, so the other thread, which claims only after the break, sums at most the one
-    chunk it may claim before the drain, not the 63 left."""
+    range, so the other thread, which waits at its first chunk until the break, sums at
+    most that one chunk, not the 63 left."""
     broke = threading.Event()
     summed_after = []
 

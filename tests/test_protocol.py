@@ -303,6 +303,12 @@ def test_sign_array_costs_its_result_plus_fixed_buffers(count):
     assert traced_peak(handedness_signs, count) <= 8 * count + 4 * 2**20
 
 
+@pytest.mark.parametrize("count", [10**6, 4 * 10**6])
+def test_stream_words_cost_their_result_plus_one_scratch_chunk(count):
+    words = lambda seed, n: protocol.stream_words(seed, 2, 0, n)  # noqa: E731
+    assert traced_peak(words, count) <= 8 * count + 2**20
+
+
 def test_sign_sum_rejects_a_negative_count():
     with pytest.raises(ValueError):
         handedness_sign_sum(0, -1)
