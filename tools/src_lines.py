@@ -31,9 +31,8 @@ def count(source: str) -> dict:
     """Lines of ``source`` per kind, and their ``total``."""
     docstring = set()
     for node in ast.walk(ast.parse(source)):
-        body = getattr(node, "body", None)
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and body:
-            first = body[0]
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
             if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
                     and isinstance(first.value.value, str)):
                 docstring.update(range(first.lineno, first.end_lineno + 1))
