@@ -298,7 +298,7 @@ def _result(kind, coeffs, *args):
         for i, column in enumerate(coeffs):
             block[i] = column
         coeffs = block
-    return np.moveaxis(coeffs, 0, -1)
+    return coeffs.transpose((*range(1, coeffs.ndim), 0))
 
 
 def _gap(lhs, rhs) -> float:

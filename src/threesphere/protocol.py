@@ -44,10 +44,11 @@ uint64 chunk of at most :data:`SIGN_CHUNK` words the splitmix64 states of
 consecutive words of a key: the whole mixer but its final ``z ^= z >> 31``,
 which leaves the top bit unchanged.  It adds the chunk's offset to a
 read-only ``i * gamma`` ramp of ``SIGN_CHUNK`` words (512 KB, shared by every
-call and thread) and mixes in place through one scratch chunk.  The ramp
-and the uint64 operands, 0-d arrays, are built once at import, so a chunk's
-seven ufunc calls hold the GIL only briefly and passes on several threads
-overlap.  :func:`stream_words` runs it a chunk at a time into slices of its
+call and thread) and mixes in place through one scratch chunk.  The uint64
+operands, 0-d arrays, are built once at import, so a chunk's seven ufunc
+calls hold the GIL only briefly and passes on several threads overlap.  The
+ramp is built on the first draw, so a command that draws nothing, such as
+``chsh``, never holds it.  :func:`stream_words` runs it a chunk at a time into slices of its
 result, at 8 bytes per word plus one scratch chunk, and ends each chunk's
 mixer; :func:`handedness_signs` maps lane 0's words to int64 signs in their
 own buffer, at the same cost.  :func:`handedness_sign_sum`, the estimators'
@@ -62,16 +63,18 @@ The sum is the one place threads share the stream.  Given ``threads``,
 ``min(threads, os.cpu_count(), chunks)`` threads share it, at least one,
 as :func:`stream_summary` reports: the calling thread and a pool opened for
 the call claim chunk starts from one shared range until none is left, so
-``k`` threads start ``k - 1`` and none of them outlives the sum.
+``k`` threads start ``k - 1`` and none of them outlives the sum.  The pool's
+module is imported only by a sum that starts threads, and the calling thread
+builds the ramp before it starts them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,11 +138,17 @@ def _key(seed: int, lane: int) -> int:
 # and the shifts.  Nothing writes to them, so every call and thread shares them.
 _OPERANDS = tuple(np.array(v, dtype=np.uint64) for v in (_GAMMA, _MIX_1, _MIX_2, 30, 27, 31))
 
-# i * gamma for i < SIGN_CHUNK, built once and read-only: word first + i of a key
-# counts from the state key + (first + 1 + i) * gamma, one offset added to the ramp.
-_RAMP = np.arange(SIGN_CHUNK, dtype=np.uint64)
-_RAMP *= _OPERANDS[0]
-_RAMP.flags.writeable = False
+@functools.cache
+def _ramp() -> np.ndarray:
+    """``i * gamma`` for ``i < SIGN_CHUNK``, built in place on the first draw, then read-only.
+
+    Word ``first + i`` of a key counts from the state ``key + (first + 1 + i) * gamma``,
+    one offset added to the ramp.  Every later call and thread shares this one array.
+    """
+    ramp = np.arange(SIGN_CHUNK, dtype=np.uint64)
+    ramp *= _OPERANDS[0]
+    ramp.flags.writeable = False
+    return ramp
 
 
 def _states(key: int, first: int, z: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -150,7 +159,7 @@ def _states(key: int, first: int, z: np.ndarray, t: np.ndarray) -> np.ndarray:
     its size.  This is the one array copy of the mixer.
     """
     _, mix_1, mix_2, by_30, by_27, _ = _OPERANDS
-    np.add(_RAMP[: z.size], np.uint64((key + (first + 1) * _GAMMA) & _MASK64), out=z)
+    np.add(_ramp()[: z.size], np.uint64((key + (first + 1) * _GAMMA) & _MASK64), out=z)
     np.right_shift(z, by_30, out=t)
     np.bitwise_xor(z, t, out=z)
     np.multiply(z, mix_1, out=z)
@@ -278,6 +287,9 @@ def handedness_sign_sum(seed: int, count: int, start: int = 0, threads: int = 1)
 
     if not workers:
         return count - 2 * negatives()
+    from concurrent.futures import ThreadPoolExecutor
+
+    _ramp()  # built here, so the threads never race to build it
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = [pool.submit(negatives) for _ in range(workers)]
         return count - 2 * (negatives() + sum(part.result() for part in parts))

@@ -196,7 +196,7 @@ def factorize_s3_point(target, count, seed: int):
     the same factors as the int count.  Factor rows are the ``(N, slots, 4)``
     view of a coefficient-major ``(4, slots, N)`` block, so each slot the
     products read has contiguous columns; the draws still fill the rows in C
-    order, put into each coefficient plane by flat index.
+    order, through one mask of the slots each row draws.
     """
     counts = np.asarray(count)
     if counts.dtype.kind not in "iu":
@@ -222,26 +222,13 @@ def factorize_s3_point(target, count, seed: int):
     if width == 0:
         factors[:, 0] = targets
         return factors
-    # Slot i of row r is element i * n + r of each coefficient plane.  Row r
-    # takes draws[r] = counts[r] - 1 draws from draw firsts[r] on, so draw
-    # j = firsts[r] + i goes to element j * n + (r - firsts[r] * n), and its
-    # last factor, in slot draws[r], to element draws[r] * n + r.
-    planes = store.reshape(4, -1)
     draws = counts - 1
-    firsts = np.cumsum(draws)
-    firsts -= draws
-    at = np.arange(draws.sum())
-    at *= n
-    at += np.repeat(np.arange(n) - firsts * n, draws)
-    for plane, column in zip(planes, _random_unit_rows(seed, _FACTOR_LANE, 4, at.size).T):
-        plane[at] = column
+    drawn = np.arange(width) < draws[:, None]
+    factors[:, :width][drawn] = _random_unit_rows(seed, _FACTOR_LANE, 4, int(draws.sum()))
     prefix = functools.reduce(even_product, factors[:, :width].swapaxes(0, 1))
     last = even_product(prefix * np.array([1.0, -1.0, -1.0, -1.0]), targets)
     last /= np.linalg.norm(last, axis=1, keepdims=True)
-    at = draws * n
-    at += np.arange(n)
-    for plane, column in zip(planes, last.T):
-        plane[at] = column
+    factors[np.arange(n), draws] = last
     return factors
 
 

@@ -770,25 +770,38 @@ def test_package_runs_as_a_module():
     assert result.stdout.splitlines()[-1] == "verify: all properties hold"
 
 
+# Runs one command of each kind in one interpreter.  After each it prints the exit code,
+# whether that command built the stream's ramp and whether the thread pool's module is
+# loaded by then, so the two-thread simulate comes last.  Two CPUs are reported, so that
+# simulate starts a pool on any host.
 GUARD = """
-import contextlib, io, sys
+import contextlib, io, os, sys
+from threesphere import protocol
 from threesphere.cli import main
 out = sys.argv[1]
+os.cpu_count = lambda: 2
 argvs = [
+    ["chsh", "--maximize", "--step-deg", "7", "--analytic", "--out", out + "/chsh.csv"],
     ["verify", "all", "--samples", "1000"],
-    ["simulate", "--alpha-deg", "0", "--beta-deg", "30", "--n", "1000", "--out", out + "/s.csv"],
     ["scan", "--alpha-deg", "0", "--beta-start", "0", "--beta-stop", "90", "--beta-step", "45",
      "--n", "1000", "--out", out + "/scan.csv"],
-    ["chsh", "--maximize", "--step-deg", "7", "--analytic", "--out", out + "/chsh.csv"],
+    ["simulate", "--alpha-deg", "0", "--beta-deg", "30", "--n", str(2 * protocol.SIGN_CHUNK),
+     "--threads", "2", "--out", out + "/s.csv"],
 ]
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [main(argv) for argv in argvs]
-print(codes, sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "random"]))
+for argv in argvs:
+    protocol._ramp.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    ramp = protocol._ramp.cache_info().currsize == 1
+    print(argv[0], code, "ramp" if ramp else "-", "pool" if "concurrent.futures" in sys.modules else "-")
+print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "random"]))
 """
 
 
 def test_no_command_imports_numpy_random(tmp_path):
-    """Every draw comes from the splitmix64 lanes: numpy.random is never loaded."""
+    """Every draw comes from the splitmix64 lanes: numpy.random is never loaded.  A command
+    loads only what it runs: ``chsh`` builds no stream ramp, and only a sum that starts
+    threads imports the thread pool."""
     src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run(
         [sys.executable, "-c", GUARD, str(tmp_path)],
@@ -798,6 +811,12 @@ def test_no_command_imports_numpy_random(tmp_path):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[0, 0, 0, 0] []\n"
+    assert result.stdout.splitlines() == [
+        "chsh 0 - -",
+        "verify 0 ramp -",
+        "scan 0 ramp -",
+        "simulate 0 ramp pool",
+        "[]",
+    ]
     sources = "\n".join(path.read_text() for path in sorted((src / "threesphere").glob("*.py")))
     assert not re.search(r"\bnp\.random\b|\bnumpy\.random\b|from numpy import random", sources)

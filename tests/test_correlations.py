@@ -247,7 +247,7 @@ def test_a_huge_thread_request_is_capped_at_the_cpu_count(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(protocol, "ThreadPoolExecutor", InlineExecutor)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", InlineExecutor)
     n = 40 * SIGN_CHUNK + 1
     single = handedness_sign_sum(5, n)
     for cpus in (1, 2, 8):
@@ -277,6 +277,28 @@ def _thread_hook(monkeypatch, before_claims):
         return states(key, first, z, t)
 
     monkeypatch.setattr(protocol, "_states", hooked)
+
+
+def test_a_cold_two_thread_sum_builds_the_ramp_once(monkeypatch):
+    """The calling thread builds the stream's ramp before it starts the pool, so the two
+    threads, held at their first chunks until both are there, find it built and cannot
+    race to build it twice."""
+    n = 4 * SIGN_CHUNK
+    single = handedness_sign_sum(8, n)
+    both = threading.Barrier(2, timeout=10)
+    built = []
+
+    def before_claims(in_caller):
+        built.append(protocol._ramp.cache_info().currsize)
+        both.wait()
+        return lambda first: None
+
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: 2)
+    _thread_hook(monkeypatch, before_claims)
+    protocol._ramp.cache_clear()
+    assert handedness_sign_sum(8, n, threads=2) == single
+    assert built == [1, 1]
+    assert protocol._ramp.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("where", ["caller", "worker"])

@@ -36,6 +36,31 @@ def test_golden_output_is_byte_identical(shape, tmp_path):
         assert produced[name] == content, f"{shape}/{name} differs from the corpus"
 
 
+def test_one_cpu_changes_only_the_shards_of_the_two_thread_manifests(monkeypatch, tmp_path):
+    """With ``os.cpu_count`` at 1 a two-thread sum runs on one thread.  Every file keeps
+    its corpus bytes but the manifests of the two-thread shapes, whose ``stream.shards``
+    reads 1 where the corpus has 2; the rest of each of those manifests is unchanged."""
+    recorded = json.loads(regen.ENVIRONMENT.read_text())
+    if recorded["numpy"] != regen.environment()["numpy"]:
+        pytest.skip("the corpus was made under another numpy version")
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    shards = {}
+    for shape, argv in regen.SHAPES.items():
+        (tmp_path / shape).mkdir()
+        produced = regen.run(argv, tmp_path / shape)
+        stored = {path.name: path.read_bytes() for path in (GOLDEN / shape).iterdir()}
+        assert sorted(produced) == sorted(stored), shape
+        for name in sorted(name for name in stored if produced[name] != stored[name]):
+            assert name.endswith(".manifest.json"), f"{shape}/{name} differs from the corpus"
+            ours, theirs = json.loads(produced[name]), json.loads(stored[name])
+            shards[shape] = (ours["stream"].pop("shards"), theirs["stream"].pop("shards"))
+            assert ours == theirs, f"{shape}/{name} differs beyond stream.shards"
+    two_threads = [shape for shape, argv in regen.SHAPES.items()
+                   if "--threads" in argv and argv[argv.index("--threads") + 1] == "2"]
+    assert len(two_threads) == 5
+    assert shards == {shape: (1, 2) for shape in two_threads}
+
+
 # Runs every shape in one interpreter and prints the dispatch targets it saw and the
 # files that differ from the corpus, as JSON.
 _BASELINE_RUN = """
