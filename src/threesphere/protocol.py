@@ -48,13 +48,14 @@ call and thread) and mixes in place through one scratch chunk.  The uint64
 operands, 0-d arrays, are built once at import, so a chunk's seven ufunc
 calls hold the GIL only briefly and passes on several threads overlap.  The
 ramp is built on the first draw, so a command that draws nothing, such as
-``chsh``, never holds it.  :func:`stream_words` runs it a chunk at a time into slices of its
-result, at 8 bytes per word plus one scratch chunk, and ends each chunk's
-mixer; :func:`handedness_signs` maps lane 0's words to int64 signs in their
-own buffer, at the same cost.  :func:`handedness_sign_sum`, the estimators'
-kernel, counts the states' top bits, read as the sign bits of their float64
-view, in constant memory: two uint64 chunks and one bool chunk per thread
-(1.1 MB, small enough for a per-core L2 cache).  Chunks are sized to the
+``chsh``, never holds it.  :func:`stream_words` runs the kernel a chunk at
+a time into slices of its result, at 8 bytes per word plus one scratch
+chunk, and ends each chunk's mixer; :func:`handedness_signs` maps lane 0's
+words to int64 signs in their own buffer, at the same cost.
+:func:`handedness_sign_sum`, the estimators' kernel, counts the states' top
+bits, read as the sign bits of their float64 view, in constant memory: two
+uint64 chunks and one bool chunk per thread (1.1 MB, small enough for a
+per-core L2 cache).  Chunks are sized to the
 first chunk a call or thread takes, so calls shorter than a chunk get short
 ones.  Positions ``start`` must be non-negative and are taken modulo the
 counter's period 2**64.
@@ -137,6 +138,7 @@ def _key(seed: int, lane: int) -> int:
 # The mixer's uint64 operands as 0-d arrays, built once: gamma, the two multipliers
 # and the shifts.  Nothing writes to them, so every call and thread shares them.
 _OPERANDS = tuple(np.array(v, dtype=np.uint64) for v in (_GAMMA, _MIX_1, _MIX_2, 30, 27, 31))
+
 
 @functools.cache
 def _ramp() -> np.ndarray:
