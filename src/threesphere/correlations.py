@@ -1,12 +1,13 @@
 """Expectation-value estimators, the quantum reference, and CHSH search.
 
-Per trial the outcome product is ``cos 2(a-b) + sign_i * sin 2(a-b) *
-e_xy``: a constant scalar channel plus a bivector channel proportional to
-the orientation sign.  The estimators therefore reduce the Monte Carlo
-average to the exact integer sum of the +1/-1 signs.  That keeps the
-scalar mean equal to ``cos 2(a-b)`` to the last bit at any trial count,
-and makes merging per-thread sums bit-identical to a single pass, since
-integer addition has no rounding.
+:func:`joint_expectation` averages the protocol's per-trial closed form,
+:func:`~.protocol.joint_product_closed_form`, which ``verify protocol``
+checks against the direct outcome product; :func:`single_expectation`
+averages Alice's outcome.  Both are linear in the orientation sign, so
+each average is exact from the integer sum of the +1/-1 signs, and the
+joint scalar channel, which carries no sign, is analytic by construction.
+Per-thread sums merge bit-identically, since integer addition has no
+rounding.
 
 The sum is :func:`~.protocol.handedness_sign_sum`, which streams the
 orientation draws in chunks, so memory does not grow with the trial count,
@@ -36,15 +37,16 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .algebra import _columns
+from .algebra import RIGHT_HANDED, _columns
 from .protocol import (
     PolarizerAngle,
     _radians,
+    alice_outcome,
     handedness_sign_sum,
     # Unused here; kept only because perfbench's traced mode wraps the stream at
     # this name (ROADMAP item 11).
     handedness_signs,  # noqa: F401
-    polarizer_axis,
+    joint_product_closed_form,
 )
 
 __all__ = [
@@ -63,10 +65,10 @@ __all__ = [
 class CorrelationEstimate:
     """Componentwise Monte Carlo average of even-element outcomes.
 
-    The scalar channel is ``cos 2(alpha-beta)`` by construction, hence exact
-    and independent of the draws.  The bivector channel is the mean +1/-1 sign
-    times ``sin 2(alpha-beta)``; ``standard_error`` is its envelope
-    ``1/sqrt(trial_count)``.  Each channel is a float or an array.
+    The average of a per-trial closed form, exact from the integer sign sum.
+    A channel that carries no orientation sign, such as the joint scalar, is
+    analytic by construction; ``standard_error`` is the envelope
+    ``1/sqrt(trial_count)`` of the others.  Each channel is a float or an array.
     """
 
     scalar_mean: float
@@ -109,43 +111,39 @@ class ChshSettings:
     beta_prime: PolarizerAngle
 
 
-def single_expectation(theta, n: int, seed: int, threads: int = 1) -> CorrelationEstimate:
-    """Average one station's outcome over ``n`` orientation samples.
-
-    Outcomes are pure bivectors, so the scalar mean is exactly zero and
-    the bivector mean is the mean sign times the polarizer axis; under
-    the 50/50 orientation law it decays like 1/sqrt(n).  As in
-    :func:`joint_expectation`, a radian array gives array channels.
-    """
+def _mean_sign(n: int, seed: int, threads: int) -> float:
+    """The mean of the first ``n`` orientation signs of ``seed``, from their exact integer sum."""
     if n < 1:
         raise ValueError(f"trial count must be at least 1, got {n}")
-    mean_sign = handedness_sign_sum(seed, n, threads=threads) / n
-    x, y, z = _columns(polarizer_axis(theta))
-    return CorrelationEstimate(
-        scalar_mean=0.0, bivector_mean=(mean_sign * x, mean_sign * y, mean_sign * z), trial_count=n
-    )
+    return handedness_sign_sum(seed, n, threads=threads) / n
+
+
+def single_expectation(theta, n: int, seed: int, threads: int = 1) -> CorrelationEstimate:
+    """Average :func:`~.protocol.alice_outcome` over ``n`` orientation samples.
+
+    The outcome is linear in the orientation sign, so the average is the
+    right-handed outcome times the mean sign, which under the 50/50 law
+    decays like 1/sqrt(n); the scalar mean is exactly zero.  As in
+    :func:`joint_expectation`, a radian array gives array channels.
+    """
+    mean_sign = _mean_sign(n, seed, threads)
+    _, *bivector = _columns(alice_outcome(theta, RIGHT_HANDED))
+    return CorrelationEstimate(0.0, tuple(mean_sign * c for c in bivector), n)
 
 
 def joint_expectation(alpha, beta, n: int, seed: int, threads: int = 1) -> CorrelationEstimate:
-    """Average the outcome product over ``n`` shared orientation samples.
+    """Average :func:`~.protocol.joint_product_closed_form` over ``n`` shared orientation samples.
 
-    Each call makes one sign sum, which only the bivector mean, the mean
-    sign times ``sin 2(alpha-beta)``, reads.  The scalar mean is
-    ``cos 2(alpha-beta)`` at every seed and ``n``.  The angles are two
-    :class:`PolarizerAngle`, which give float channels, or two radian
-    arrays, which give one estimate whose channels are arrays of their
-    broadcast shape; pass arrays to share the sum across angle pairs.
-    ``threads`` goes to :func:`~.protocol.handedness_sign_sum`.
+    That is the right-handed closed form with its ``e_xy`` channel, the one
+    linear in the orientation sign, times the mean sign of one sign sum.
+    The angles are two :class:`PolarizerAngle`, which give float channels,
+    or two radian arrays, which give one estimate whose channels are arrays
+    of their broadcast shape; pass arrays to share the sum across angle
+    pairs.  ``threads`` goes to :func:`~.protocol.handedness_sign_sum`.
     """
-    if n < 1:
-        raise ValueError(f"trial count must be at least 1, got {n}")
-    mean_sign = handedness_sign_sum(seed, n, threads=threads) / n
-    d = 2.0 * (_radians(alpha) - _radians(beta))
-    return CorrelationEstimate(
-        scalar_mean=np.cos(d),
-        bivector_mean=(0.0, 0.0, mean_sign * np.sin(d)),
-        trial_count=n,
-    )
+    mean_sign = _mean_sign(n, seed, threads)
+    scalar, _, _, bxy = _columns(joint_product_closed_form(alpha, beta, RIGHT_HANDED))
+    return CorrelationEstimate(scalar, (0.0, 0.0, mean_sign * bxy), n)
 
 
 _PAULI = np.array([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]])  # sigma_z, sigma_x
@@ -209,8 +207,9 @@ def chsh_value(settings: ChshSettings, correlation) -> float:
 _MAX_GRID = 4096
 
 # Finest grid the exhaustive O(m**3) scan accepts.  On the same host it took
-# 0.75 s at m = 512, 1.75 s at m = 724 and 5.3 s at m = 1024; a grid of
-# 4,082 points would run for minutes.
+# 0.45-0.6 s at m = 512, 1.35-1.7 s at m = 724 and 3.8-4.2 s at m = 1024
+# (BENCH_one_closed_form.json, comment_timings); a grid of 4,082 points would
+# run for minutes.
 _MAX_EXHAUSTIVE = 1024
 
 # Largest |M[i, j] - M[(i - j) % m, 0]| at which the search treats the

@@ -113,10 +113,11 @@ _MIX_2 = 0x94D049BB133111EB
 
 # Draws per chunk of the stream pass; 2**14 and 2**18 both measured slower.  On
 # two threads the interpreter lock, taken around each ufunc call, costs more as
-# chunks shrink: the two-thread sum of 2*10**7 draws took 65-70 ms at 2**14,
-# 37-42 ms at 2**15 and 32.5-33 ms at 2**16 (2-vCPU host).  Two forked processes
-# summing half each took 32.5-36.6 ms, no less than the two threads' 32.8-35.8 ms,
-# and a fork plus its wait alone costs about 2 ms, so a process pool would not pay.
+# chunks shrink: the two-thread sum of 2*10**7 draws took 50-82 ms at 2**14,
+# 35-47 ms at 2**15, 29-39 ms at 2**16 and 43-51 ms at 2**18 (2-vCPU host).  Two
+# forked processes summing half each took about 35 ms, no less than the two
+# threads' 32-36 ms, and a fork plus its wait alone costs about 3 ms, so a process
+# pool would not pay (BENCH_one_closed_form.json, comment_timings).
 SIGN_CHUNK = 1 << 16
 
 

@@ -59,12 +59,9 @@ def _overwrite(path, text: str) -> None:
 
 
 def _write_csv(path: Path, fieldnames: list, rows: list) -> None:
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(fieldnames)
-    for row in rows:
-        writer.writerow([format_value(row[name]) for name in fieldnames])
-    _overwrite(path, text.getvalue())
+    """Comma-joined cells, one line each; no cell the package writes needs CSV quoting."""
+    lines = [fieldnames] + [[format_value(row[name]) for name in fieldnames] for row in rows]
+    _overwrite(path, "".join(",".join(cells) + "\n" for cells in lines))
 
 
 def _write_json(path: Path, fieldnames: list, rows: list) -> None:

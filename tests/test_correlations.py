@@ -7,7 +7,8 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from threesphere import correlations, protocol
+from threesphere import correlations, protocol, suites
+from threesphere.algebra import Handedness
 from threesphere.correlations import (
     ChshSettings,
     CorrelationEstimate,
@@ -127,6 +128,29 @@ def test_joint_estimate_equals_the_per_record_average():
     assert abs(estimate.scalar_mean - averaged[0]) <= 1e-12
     for got, brute in zip(estimate.bivector_mean, averaged[1:]):
         assert abs(got - brute) <= 1e-12
+
+
+def test_the_estimate_and_the_protocol_check_read_one_closed_form(monkeypatch):
+    """A closed form with its e_xy sign flipped flips the estimate's bivector channel
+    and fails the protocol suite's check against the direct outcome product."""
+
+    def flipped_e_xy(alpha, beta, handedness):
+        if isinstance(handedness, Handedness):
+            handedness = Handedness(-handedness.sign)
+        else:
+            handedness = -np.asarray(handedness)
+        return protocol.joint_product_closed_form(alpha, beta, handedness)
+
+    alpha, beta = deg(10.0), deg(-35.0)
+    checked = joint_expectation(alpha, beta, 1001, seed=3)  # an odd n: the sign sum is not 0
+    for module in (correlations, suites):
+        monkeypatch.setattr(module, "joint_product_closed_form", flipped_e_xy)
+    mutated = joint_expectation(alpha, beta, 1001, seed=3)
+    assert checked.bivector_mean[2] != 0.0
+    assert mutated.bivector_mean == (0.0, 0.0, -checked.bivector_mean[2])
+    assert mutated.scalar_mean == checked.scalar_mean
+    failed = {check.name for check in suites.protocol_suite(200) if not check.passed}
+    assert failed == {"closed form matches the direct outcome product"}
 
 
 def test_joint_expectation_takes_radian_arrays():

@@ -704,6 +704,12 @@ def test_wrong_unproject_formula_fails_the_round_trip_check(monkeypatch):
     assert main(["verify", "topology", "--samples", "200"]) == 1
 
 
+def test_a_nan_residual_fails_its_topology_check(monkeypatch):
+    monkeypatch.setattr(suites, "stereographic_unproject", lambda rows: np.full((len(rows), 3), np.nan))
+    assert failing() == {"stereographic round trip returns to the point"}
+    assert math.isnan(suites.topology_suite(200)[0].max_residual)
+
+
 def test_accepted_north_pole_fails_the_pole_check(monkeypatch, capsys):
     project = suites.stereographic_project
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import os
 import stat
@@ -20,9 +22,16 @@ def test_csv_round_trip_is_exact(tmp_path):
         for v in AWKWARD
     ]
     path = tmp_path / "table.csv"
-    write_table(path, ["beta_deg", "scalar_mean", "label", "n", "seed"], rows, fmt="csv")
+    fields = ["beta_deg", "scalar_mean", "label", "n", "seed"]
+    write_table(path, fields, rows, fmt="csv")
     back = read_table(path)
     assert back == rows
+    # The bytes are the csv module's rendering: no cell needs quoting.
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(fields)
+    writer.writerows([format_value(row[name]) for name in fields] for row in rows)
+    assert path.read_bytes() == text.getvalue().encode()
 
 
 def test_json_round_trip_is_exact(tmp_path):
