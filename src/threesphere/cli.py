@@ -10,7 +10,10 @@ their argparse dest names, plus the angles in radians (``alpha_rad``,
 and ``beta_rad`` for ``simulate``).  ``chsh`` evaluates the |Phi+> quantum
 reference, draws no trials, records ``n`` as 0 and only echoes ``--seed``.
 
-Exit codes: 0 success, 1 runtime or property failure, 2 usage error.
+Exit codes: 0 success; 1 for a failed property check, or an ``ArithmeticError``
+or ``OSError`` raised by a command; 2 for an argparse error, or a ``UsageError``
+or ``ValueError`` raised by a command.  A command's error prints one line on
+stderr, ``error:`` or ``i/o error:`` and its message, not a traceback.
 Every numeric input has a bounded range: ``--n`` runs from 1 to
 :data:`MAX_TRIALS`, ``--seed`` from 0 to :data:`MAX_SEED`, ``--threads``
 is at least 1 (and is capped at the CPU count when the work is sharded),
@@ -301,6 +304,9 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1

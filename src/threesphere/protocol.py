@@ -62,11 +62,12 @@ counter's period 2**64.
 
 The sum is the one place threads share the stream.  Given ``threads``,
 ``min(threads, os.cpu_count(), chunks)`` threads share it, at least one,
-as :func:`stream_summary` reports: the calling thread and a pool opened for
-the call claim chunk starts from one shared range until none is left, so
-``k`` threads start ``k - 1`` and none of them outlives the sum.  The pool's
-module is imported only by a sum that starts threads, and the calling thread
-builds the ramp before it starts them.
+as :func:`stream_summary` reports: the calling thread and ``k - 1`` plain
+:class:`threading.Thread` workers started for the call claim chunk starts
+from one shared range until none is left, and none of them outlives the
+sum.  No executor module is imported, so a threaded sum loads nothing that
+a one-thread sum does not, and the calling thread builds the ramp before it
+starts the workers.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ import functools
 import math
 import operator
 import os
+import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -259,14 +261,17 @@ def handedness_sign_sum(seed: int, count: int, start: int = 0, threads: int = 1)
     """Exact sum of orientation signs ``start .. start+count-1`` for ``seed``.
 
     Equals ``int(handedness_signs(seed, count, start).sum())``; counts the negative draws.
-    The calling thread and ``stream_summary(count, threads)["shards"] - 1`` threads of a
-    pool opened for this call take chunk starts from one shared iterator, each into its
-    own buffers, until none is left; a thread that starts late or runs slow takes fewer
+    The calling thread and ``stream_summary(count, threads)["shards"] - 1`` worker threads
+    started for this call take chunk starts from one shared iterator, each into its own
+    buffers, until none is left; a thread that starts late or runs slow takes fewer
     chunks.  Each claim is one ``next()`` on a ``range`` iterator, which holds the GIL
     throughout, so no chunk is taken twice.  The totals are integers, so the sum is
     identical for every split of the chunks.  A thread whose chunk raises drains the
-    iterator before re-raising, so the others stop at their next claim; the pool is
-    joined before the sum returns or raises.  ``threads`` below 1 raises ``ValueError``.
+    iterator, so the others stop at their next claim; a worker keeps its count or its
+    exception in its own slot.  Every worker that started is joined before the sum
+    returns or raises; it raises the caller's own exception if there is one, else the
+    first worker's.  If a worker fails to start, the caller drains the iterator itself.
+    ``threads`` below 1 raises ``ValueError``.
     """
     count, start = _checked(count, start)
     workers = stream_summary(count, threads)["shards"] - 1
@@ -290,12 +295,30 @@ def handedness_sign_sum(seed: int, count: int, start: int = 0, threads: int = 1)
 
     if not workers:
         return count - 2 * negatives()
-    from concurrent.futures import ThreadPoolExecutor
+    parts = [0] * workers  # each worker's count, or the exception it caught
+
+    def work(slot: int) -> None:
+        try:
+            parts[slot] = negatives()
+        except BaseException as exc:  # kept for the caller, never reported by the thread
+            parts[slot] = exc
 
     _ramp()  # built here, so the threads never race to build it
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = [pool.submit(negatives) for _ in range(workers)]
-        return count - 2 * (negatives() + sum(part.result() for part in parts))
+    started = []
+    try:
+        for slot in range(workers):
+            thread = threading.Thread(target=work, args=(slot,))
+            thread.start()
+            started.append(thread)
+        total = negatives()
+    finally:
+        deque(firsts, maxlen=0)  # empty already, unless a thread failed to start
+        for thread in started:
+            thread.join()
+    for part in parts:
+        if isinstance(part, BaseException):
+            raise part
+    return count - 2 * (total + sum(parts))
 
 
 @dataclass(frozen=True)

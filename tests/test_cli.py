@@ -736,7 +736,8 @@ def raising(error):
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_verify_suite_errors_keep_their_exit(cpus, monkeypatch, capsys, thread_starts):
-    """A suite that raises ends the run at once: the later protocol suite never starts."""
+    """A suite that raises ends the run at once: the later protocol suite never starts.  A
+    ``ValueError`` exits 2 and an ``ArithmeticError`` 1, each with one line on stderr."""
     protocol_calls = []
 
     def protocol(samples, seed):
@@ -752,9 +753,28 @@ def test_verify_suite_errors_keep_their_exit(cpus, monkeypatch, capsys, thread_s
     lines = captured.out.splitlines()
     assert len(lines) == 7 and all(line.startswith("[algebra] ") for line in lines)
     monkeypatch.setattr(cli, "SUITES", {**counted, "topology": raising(ArithmeticError)})
-    with pytest.raises(ArithmeticError, match="suite broke"):
-        run("verify", "all", "--samples", suites.BLOCK)
+    assert run("verify", "all", "--samples", suites.BLOCK) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: suite broke\n" and len(captured.out.splitlines()) == 7
     assert protocol_calls == [] and thread_starts == []
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [
+        (cli.UsageError, 2, "error"),
+        (ValueError, 2, "error"),
+        (ArithmeticError, 1, "error"),
+        (ZeroDivisionError, 1, "error"),
+        (OSError, 1, "i/o error"),
+    ],
+)
+def test_a_command_error_exits_by_its_class(error, code, prefix, monkeypatch, capsys):
+    """Usage and value errors exit 2; arithmetic and i/o errors exit 1; each prints one line."""
+    monkeypatch.setattr(cli, "SUITES", {"protocol": raising(error)})
+    assert run("verify", "protocol") == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"{prefix}: suite broke\n"
 
 
 def test_package_runs_as_a_module():
@@ -771,9 +791,9 @@ def test_package_runs_as_a_module():
 
 
 # Runs one command of each kind in one interpreter.  After each it prints the exit code,
-# whether that command built the stream's ramp and whether the thread pool's module is
-# loaded by then, so the two-thread simulate comes last.  Two CPUs are reported, so that
-# simulate starts a pool on any host.
+# whether that command built the stream's ramp and whether an executor's modules
+# (concurrent.futures, logging or queue) are loaded by then, so the two-thread simulate
+# comes last.  Two CPUs are reported, so that simulate starts a worker on any host.
 GUARD = """
 import contextlib, io, os, sys
 from threesphere import protocol
@@ -793,15 +813,16 @@ for argv in argvs:
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     ramp = protocol._ramp.cache_info().currsize == 1
-    print(argv[0], code, "ramp" if ramp else "-", "pool" if "concurrent.futures" in sys.modules else "-")
+    pool = {"concurrent.futures", "logging", "queue"} & set(sys.modules)
+    print(argv[0], code, "ramp" if ramp else "-", " ".join(sorted(pool)) or "-")
 print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "random"]))
 """
 
 
 def test_no_command_imports_numpy_random(tmp_path):
     """Every draw comes from the splitmix64 lanes: numpy.random is never loaded.  A command
-    loads only what it runs: ``chsh`` builds no stream ramp, and only a sum that starts
-    threads imports the thread pool."""
+    loads only what it runs: ``chsh`` builds no stream ramp, and a sum that starts threads
+    starts plain ones, so no command loads an executor, ``logging`` or ``queue``."""
     src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run(
         [sys.executable, "-c", GUARD, str(tmp_path)],
@@ -815,7 +836,7 @@ def test_no_command_imports_numpy_random(tmp_path):
         "chsh 0 - -",
         "verify 0 ramp -",
         "scan 0 ramp -",
-        "simulate 0 ramp pool",
+        "simulate 0 ramp -",
         "[]",
     ]
     sources = "\n".join(path.read_text() for path in sorted((src / "threesphere").glob("*.py")))

@@ -2,7 +2,6 @@ import math
 import sys
 import threading
 import time
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -253,25 +252,23 @@ def test_shard_plan_covers_the_range_in_whole_chunks(monkeypatch, n, threads):
 
 
 def test_a_huge_thread_request_is_capped_at_the_cpu_count(monkeypatch):
-    """The caller sums one shard, so a pool never has more than ``cpu_count - 1`` workers."""
+    """The caller sums one shard, so a sum never starts more than ``cpu_count - 1`` workers."""
     workers = []
 
-    class InlineExecutor:
-        def __init__(self, max_workers):
-            workers.append(max_workers)
+    class InlineThread:
+        """Runs its target in the calling thread when started."""
 
-        def __enter__(self):
-            return self
+        def __init__(self, target, args=()):
+            self.run = lambda: target(*args)
+            workers.append(self)
 
-        def __exit__(self, *exc):
-            return False
+        def start(self):
+            self.run()
 
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
+        def join(self):
+            pass
 
-    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(protocol.threading, "Thread", InlineThread)
     n = 40 * SIGN_CHUNK + 1
     single = handedness_sign_sum(5, n)
     for cpus in (1, 2, 8):
@@ -279,7 +276,7 @@ def test_a_huge_thread_request_is_capped_at_the_cpu_count(monkeypatch):
         workers.clear()
         assert stream_summary(n, 10**6)["shards"] == cpus
         assert handedness_sign_sum(5, n, threads=10**6) == single
-        assert len(workers) == (cpus > 1) and all(w <= cpus - 1 for w in workers)
+        assert len(workers) == cpus - 1
 
 
 def _thread_hook(monkeypatch, before_claims):
@@ -352,6 +349,72 @@ def test_a_raising_shard_ends_the_sum_and_leaves_no_thread(monkeypatch, where):
     assert broke.is_set()
     assert threading.active_count() == before
     assert len(summed_after) <= 1
+
+
+class ChunkError(Exception):
+    pass
+
+
+def test_a_worker_error_reaches_the_caller_and_nothing_else(monkeypatch, capsys):
+    """A worker keeps its chunk's exception for the caller, which raises it with its type
+    and message once the worker is joined; the thread itself reports nothing."""
+    broke = threading.Event()
+    raised_in_worker, reported = [], []
+
+    def before_claims(in_caller):
+        if in_caller:
+            broke.wait(timeout=10)  # the caller sums only after the worker's chunk broke
+            return lambda first: None
+
+        def on_chunk(first):
+            raised_in_worker.append(ChunkError(f"chunk at {first} broke"))
+            broke.set()
+            raise raised_in_worker[0]
+        return on_chunk
+
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(threading, "excepthook", reported.append)
+    _thread_hook(monkeypatch, before_claims)
+    before = threading.active_count()
+    with pytest.raises(ChunkError) as raised:
+        handedness_sign_sum(5, 64 * SIGN_CHUNK, threads=2)
+    assert type(raised.value) is ChunkError and len(raised_in_worker) == 1
+    assert str(raised.value) == str(raised_in_worker[0])
+    assert threading.active_count() == before
+    assert reported == [] and capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_a_worker_that_cannot_start_ends_the_sum(monkeypatch, failing):
+    """Of three shards' two workers, worker ``failing`` cannot start.  The sum raises that
+    error after joining only the workers that did start, and the range is drained: a
+    started worker, held at its first chunk until the failure, sums that one of 64."""
+    failed = threading.Event()
+    start = threading.Thread.start
+    starts = []
+    summed = []
+
+    def flaky(thread):
+        starts.append(thread)
+        if len(starts) == failing + 1:
+            failed.set()
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    def before_claims(in_caller):
+        assert not in_caller  # the caller never reaches its own share
+        failed.wait(timeout=10)
+        return summed.append
+
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: 3)
+    _thread_hook(monkeypatch, before_claims)
+    monkeypatch.setattr(threading.Thread, "start", flaky)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=r"^can't start new thread$"):
+        handedness_sign_sum(5, 64 * SIGN_CHUNK, threads=3)
+    assert len(starts) == failing + 1
+    assert threading.active_count() == before
+    assert len(summed) == failing
 
 
 @pytest.mark.parametrize("slowed", ["caller", "worker"])
